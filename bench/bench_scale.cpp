@@ -125,6 +125,34 @@ model::Schedule overdraw_schedule(int tasks, int hosts, int depth) {
   return builder.build();
 }
 
+/// Wide multi-host jobs (the Thunder shape, Sec. VII): time slots whose
+/// 4096 hosts are tiled left to right with tasks of uniform random width
+/// 1..max_width, no overlaps. The composite sweep sees the total task
+/// width grow with max_width while it synthesizes nothing. Memoized per
+/// width, one schedule at a time.
+const model::Schedule& wide_schedule(int tasks, int max_width) {
+  static std::pair<int, model::Schedule> cache{-1, model::Schedule()};
+  if (cache.first == max_width) return cache.second;
+  cache = {-1, model::Schedule()};
+  util::Rng rng(static_cast<std::uint64_t>(max_width));
+  model::ScheduleBuilder builder;
+  const int hosts = 4096;
+  builder.cluster(0, "wide", hosts);
+  for (int i = 0, slot = 0; i < tasks; ++slot) {
+    for (int pos = 0; i < tasks; ++i) {
+      const int width = static_cast<int>(rng.uniform_int(1, max_width));
+      if (pos + width > hosts) break;
+      const double start = slot + rng.uniform(0.0, 0.2);
+      builder.task("w" + std::to_string(i), i % 5 ? "computation" : "transfer",
+                   start, slot + rng.uniform(0.3, 0.99))
+          .on(0, pos, width);
+      pos += width;
+    }
+  }
+  cache = {max_width, builder.build()};
+  return cache.second;
+}
+
 /// Memoized schedules for the interactive-frame benches: the 1M-task one is
 /// also what million_xml() serializes, so it is built exactly once.
 const model::Schedule& frame_schedule(int tasks) {
@@ -808,6 +836,24 @@ void report() {
   report_check("parallel composite sweep matches serial",
                same_composites(composites_mt, composites));
 
+  // The time sweep's cost follows events, not hosts: widening 1M tasks
+  // from 1 host to up to 64 hosts (33x the total width) must not double it.
+  {
+    double width_ms[2] = {0, 0};
+    for (int k = 0; k < 2; ++k) {
+      const auto& wide = wide_schedule(1000000, k == 0 ? 1 : 64);
+      watch.reset();
+      const auto none = model::synthesize_composites(wide);
+      width_ms[k] = watch.seconds() * 1e3;
+      report_row("1M-task composite sweep, widths 1.." +
+                     std::string(k == 0 ? "1" : "64") + " (1 thread)",
+                 fmt(width_ms[k], 0) + " ms (" +
+                     std::to_string(none.size()) + " overlaps)");
+    }
+    report_check("1M-task composite sweep, widths <= 64 within 2x of width 1",
+                 width_ms[1] <= 2 * width_ms[0]);
+  }
+
   watch.reset();
   const auto fb = render::render_raster(schedule, bench_options(1));
   const double paint_serial = watch.seconds();
@@ -1434,6 +1480,18 @@ BENCHMARK(BM_Composites)
     ->Args({10000, 1})->Args({50000, 1})->Args({200000, 1})
     ->Args({10000, kBenchThreads})->Args({50000, kBenchThreads})
     ->Args({200000, kBenchThreads})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CompositeSweep(benchmark::State& state) {
+  const auto& schedule = wide_schedule(static_cast<int>(state.range(0)),
+                                       static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model::synthesize_composites(schedule));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CompositeSweep)
+    ->Args({1000000, 1})->Args({1000000, 16})->Args({1000000, 64})
     ->Unit(benchmark::kMillisecond);
 
 void BM_LayoutAndPaint(benchmark::State& state) {

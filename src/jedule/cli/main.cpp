@@ -15,6 +15,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -57,6 +58,7 @@ std::string usage() {
   const auto& registry = render::ExporterRegistry::instance();
   std::string u =
       "usage: jedule <command> [options]\n"
+      "       jedule [<command>] --help   print this message\n"
       "\n"
       "commands:\n"
       "  render <schedule> --out FILE    export an image (" +
@@ -190,6 +192,7 @@ int cmd_render(const Args& args) {
   JED_INFO() << "loaded " << schedule.tasks().size() << " tasks from "
              << args.positional()[1];
   auto options = options_from_args(args);
+  options.assume_validated = true;  // load_schedule returns it validated
   // A windowed export only touches the visible tasks; the index makes the
   // layout O(visible) instead of a full scan (same bytes either way).
   std::optional<model::TaskIndex> index;
@@ -254,6 +257,7 @@ int cmd_batch(const Args& args) {
   // concurrency is not consumed at the file level is spent inside each
   // render, so a single huge trace still uses every thread.
   render::RenderOptions options = options_from_args(args);
+  options.assume_validated = true;  // load_schedule returns it validated
   const int threads = options.resolved_threads();
   const int file_workers =
       static_cast<int>(std::min<std::size_t>(inputs.size(),
@@ -288,7 +292,7 @@ int cmd_batch(const Args& args) {
       render::export_schedule(schedule, file_options, outputs[i],
                               image_format);
       JED_INFO() << "wrote " << outputs[i];
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {
       errors[i] = e.what();
     }
   });
@@ -658,6 +662,10 @@ int run(int argc, char** argv) {
       "quiet-polls", "ingest-stats"};
 
   Args args(argc - 1, argv + 1, value_flags);
+  if (args.has("help")) {
+    std::cout << usage();
+    return 0;
+  }
   if (args.has("verbose")) util::set_log_level(util::LogLevel::kInfo);
   for (const auto& flag : args.unused(known_flags)) {
     throw ArgumentError("unknown flag --" + flag);
@@ -687,7 +695,9 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return jedule::cli::run(argc, argv);
-  } catch (const jedule::Error& e) {
+  } catch (const std::exception& e) {
+    // jedule::Error and everything else alike (std::bad_alloc on an absurd
+    // declared size, filesystem errors): a message and exit 1, never abort.
     std::cerr << "jedule: " << e.what() << "\n";
     return 1;
   }

@@ -118,9 +118,13 @@ ScheduleEntry::ScheduleEntry(
   first_new_ = first;
   {
     // Only adopt a composite list the base actually computed — never
-    // force one into existence just to extend it.
+    // force one into existence just to extend it. The list moves over
+    // rather than being shared: extending a shared list means copying it
+    // (hundreds of ms at 300k composites), and freeing each entry's own
+    // copy on eviction costs as much again. The newest entry is the one
+    // rendered in full; the base resynthesizes if it is asked again.
     std::lock_guard<std::mutex> lock(base.lazy_mu_);
-    base_composites_ = base.composites_;
+    base_composites_ = std::move(base.composites_);
   }
 }
 
@@ -158,13 +162,22 @@ std::shared_ptr<const std::vector<model::Composite>> ScheduleEntry::composites(
   const model::Schedule& s = schedule_locked();
   std::vector<model::Composite> list;
   if (base_composites_ != nullptr) {
-    list = model::append_composites(s, index, *base_composites_, first_new_,
+    // Moved when this entry holds the only reference. A render of the base
+    // that started before the append may still hold one; then it is
+    // copied. No new reference can appear: the base gave its own up.
+    std::vector<model::Composite> cached;
+    if (base_composites_.use_count() == 1) {
+      cached = std::move(*base_composites_);
+    } else {
+      cached = *base_composites_;
+    }
+    list = model::append_composites(s, index, std::move(cached), first_new_,
                                     nullptr, threads);
   } else {
     list = model::synthesize_composites(s, nullptr, threads);
   }
   composites_ =
-      std::make_shared<const std::vector<model::Composite>>(std::move(list));
+      std::make_shared<std::vector<model::Composite>>(std::move(list));
   base_composites_.reset();
   return composites_;
 }
@@ -218,6 +231,10 @@ EntryPtr append_entry(const EntryPtr& base,
 
 ScheduleStore::PutResult ScheduleStore::put(EntryPtr entry) {
   JED_ASSERT(entry != nullptr);
+  // Declared before the lock, so evicted entries are freed after it is
+  // released: freeing a million-task entry takes tens of milliseconds,
+  // which every find() would otherwise wait out.
+  std::vector<EntryPtr> evicted;
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.puts;
   if (auto it = entries_.find(entry->id); it != entries_.end()) {
@@ -228,7 +245,7 @@ ScheduleStore::PutResult ScheduleStore::put(EntryPtr entry) {
   lru_.push_front(entry->id);
   tasks_ += entry->task_count();
   entries_.emplace(entry->id, Slot{entry, lru_.begin()});
-  evict_over_budget_locked();
+  evict_over_budget_locked(evicted);
   return {std::move(entry), false};
 }
 
@@ -245,10 +262,12 @@ EntryPtr ScheduleStore::find(const std::string& id) const {
 }
 
 bool ScheduleStore::erase(const std::string& id) {
+  EntryPtr erased;  // freed after the lock is released, as in put()
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(id);
   if (it == entries_.end()) return false;
   tasks_ -= it->second.entry->task_count();
+  erased = std::move(it->second.entry);
   lru_.erase(it->second.lru);
   entries_.erase(it);
   return true;
@@ -276,7 +295,7 @@ ScheduleStore::Stats ScheduleStore::stats() const {
   return s;
 }
 
-void ScheduleStore::evict_over_budget_locked() {
+void ScheduleStore::evict_over_budget_locked(std::vector<EntryPtr>& evicted) {
   auto over = [this] {
     return (opt_.max_entries != 0 && entries_.size() > opt_.max_entries) ||
            (opt_.max_tasks != 0 && tasks_ > opt_.max_tasks);
@@ -287,6 +306,7 @@ void ScheduleStore::evict_over_budget_locked() {
     const std::string victim = lru_.back();
     auto it = entries_.find(victim);
     tasks_ -= it->second.entry->task_count();
+    evicted.push_back(std::move(it->second.entry));
     lru_.pop_back();
     entries_.erase(it);
     ++stats_.evictions;

@@ -93,7 +93,8 @@ struct ScheduleEntry {
 
   /// The unfiltered composite list (synthesized on first use; append
   /// entries extend their base's already-computed list in O(tail) via
-  /// model::append_composites instead of resweeping).
+  /// model::append_composites instead of resweeping). An append takes the
+  /// base's list over: the base synthesizes its own again if asked.
   std::shared_ptr<const std::vector<model::Composite>> composites(
       int threads = 1) const;
 
@@ -112,13 +113,14 @@ struct ScheduleEntry {
   mutable std::mutex lazy_mu_;
   mutable std::shared_ptr<const model::Schedule> schedule_;
   mutable std::shared_ptr<const model::ScheduleArena> arena_;
-  mutable std::shared_ptr<const std::vector<model::Composite>> composites_;
+  // Handed out as const; the elements are not, so a successor can move
+  // the list.
+  mutable std::shared_ptr<std::vector<model::Composite>> composites_;
   mutable std::size_t aos_bytes_ = 0;  // estimate, set at materialization
   // Append provenance: the base's composite list (when it was already
   // computed) and the first appended task index, so composites() can
   // extend instead of resynthesize.
-  mutable std::shared_ptr<const std::vector<model::Composite>>
-      base_composites_;
+  mutable std::shared_ptr<std::vector<model::Composite>> base_composites_;
   std::size_t first_new_ = 0;
 };
 
@@ -209,7 +211,9 @@ class ScheduleStore {
   Stats stats() const;
 
  private:
-  void evict_over_budget_locked();
+  // Moves LRU entries into `evicted` until the store is under its limits;
+  // the caller frees them once mu_ is released.
+  void evict_over_budget_locked(std::vector<EntryPtr>& evicted);
 
   Options opt_;
   mutable std::mutex mu_;

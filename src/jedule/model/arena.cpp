@@ -44,6 +44,24 @@ std::size_t scalar_first_violation(const double* start, const double* end,
 
 ColumnScanOps g_scan_ops{&scalar_minmax_f64, &scalar_first_violation};
 
+// First row whose times fail task_times_ok, or n. Two SIMD sweeps clear
+// the valid case: with no row out of order (which includes NaN), finite
+// column bounds less than a double's range apart bound every time and
+// duration. Anything else is reported by a scalar rescan.
+std::size_t first_time_violation(const double* start, const double* end,
+                                 std::size_t n) {
+  double lo = 0, hi = 0;
+  g_scan_ops.minmax_f64(start, end, n, &lo, &hi);
+  if (g_scan_ops.first_violation(start, end, n) == n &&
+      std::isfinite(hi - lo)) {
+    return n;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!task_times_ok(start[i], end[i])) return i;
+  }
+  return n;
+}
+
 // Density bin geometry is a pure function of the cluster's current time
 // bounds, so an incrementally grown histogram always matches a freshly
 // built one: the width is the smallest power of two covering the range
@@ -526,7 +544,7 @@ void ScheduleArena::validate() const {
   // entirely; a hit is re-reported below at the exact row AoS validate
   // would have reached first.
   const std::size_t violation =
-      n > 0 ? g_scan_ops.first_violation(start_.data(), end_.data(), n) : 0;
+      n > 0 ? first_time_violation(start_.data(), end_.data(), n) : 0;
 
   id_slots_.assign(std::bit_ceil(n * 2 + 16), kIdEmpty);
   id_count_ = 0;
@@ -543,12 +561,7 @@ void ScheduleArena::validate() const {
     if (duplicate) {
       throw ValidationError("duplicate task id '" + std::string(id) + "'");
     }
-    if (ti == violation) {
-      throw ValidationError("task '" + std::string(id) + "' has end_time " +
-                            std::to_string(end_[ti]) +
-                            " before start_time " +
-                            std::to_string(start_[ti]));
-    }
+    if (ti == violation) check_task_times(id, start_[ti], end_[ti]);
     const std::size_t c0 = cfg_off_[ti], c1 = cfg_off_[ti + 1];
     if (c0 == c1) {
       throw ValidationError("task '" + std::string(id) +
@@ -658,12 +671,9 @@ void ScheduleArena::validate_columns() const {
   // instead of validate()'s fused per-row walk; none of them needs the
   // task id until the (exceptional) moment it reports a violation.
   const std::size_t violation =
-      g_scan_ops.first_violation(start_.data(), end_.data(), n);
+      first_time_violation(start_.data(), end_.data(), n);
   if (violation < n) {
-    throw ValidationError("task '" + std::string(task_id(violation)) +
-                          "' has end_time " + std::to_string(end_[violation]) +
-                          " before start_time " +
-                          std::to_string(start_[violation]));
+    check_task_times(task_id(violation), start_[violation], end_[violation]);
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (id_off_[i + 1] == id_off_[i]) {
@@ -798,11 +808,7 @@ void ScheduleArena::append(const std::vector<Event>& events) {
     if (id_table_find(e.id) != kIdEmpty || !batch_ids.insert(e.id).second) {
       throw ValidationError("duplicate task id '" + e.id + "'");
     }
-    if (!(e.end >= e.start)) {
-      throw ValidationError("task '" + e.id + "' has end_time " +
-                            std::to_string(e.end) + " before start_time " +
-                            std::to_string(e.start));
-    }
+    check_task_times(e.id, e.start, e.end);
     auto it = cluster_slot_.find(e.cluster_id);
     if (it == cluster_slot_.end()) {
       throw ValidationError("task '" + e.id + "' references unknown cluster " +

@@ -1,9 +1,13 @@
 #include "jedule/model/composite.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
+#include <queue>
 #include <tuple>
 #include <utility>
 
@@ -16,306 +20,315 @@ namespace jedule::model {
 
 namespace {
 
-struct Interval {
-  std::size_t task_index;
-  Time begin;
-  Time end;
+using TaskId = std::uint32_t;
+
+// One host range [lo, hi) of one participating task over [begin, end).
+struct Alloc {
+  Time begin, end;
+  TaskId task;
+  int lo, hi;
 };
 
-// One task allocation on a cluster: the host range plus the time interval.
-struct Entry {
-  HostRange range;
-  Interval interval;
-};
-
-// Key identifying one composite rectangle group within a cluster: same
-// member set and same time interval; hosts are merged below.
-struct GroupKey {
-  int cluster_id;
-  Time begin;
-  Time end;
-  std::vector<std::size_t> members;  // sorted task indices
-};
-
-// Borrowed key: lets the sweep probe the group map with the live `active`
-// vector, so the members are only copied when the group is actually new.
-struct GroupKeyView {
-  int cluster_id;
-  Time begin;
-  Time end;
-  const std::vector<std::size_t>* members;
-};
-
-struct GroupKeyLess {
-  using is_transparent = void;
-
-  static std::tuple<int, Time, Time, const std::vector<std::size_t>&> tie(
-      const GroupKey& k) {
-    return {k.cluster_id, k.begin, k.end, k.members};
-  }
-  static std::tuple<int, Time, Time, const std::vector<std::size_t>&> tie(
-      const GroupKeyView& k) {
-    return {k.cluster_id, k.begin, k.end, *k.members};
-  }
-
-  template <typename A, typename B>
-  bool operator()(const A& a, const B& b) const {
-    return tie(a) < tie(b);
-  }
-};
-
-// Host lists are built as sorted coalesced ranges directly: slabs arrive in
-// ascending host order, so touching ranges merge as they are appended.
-using GroupMap = std::map<GroupKey, std::vector<HostRange>, GroupKeyLess>;
-
-void append_group_slab(GroupMap& groups, int cluster_id, Time begin, Time end,
-                       const std::vector<std::size_t>& active, HostRange slab) {
-  const GroupKeyView view{cluster_id, begin, end, &active};
-  auto it = groups.lower_bound(view);
-  if (it == groups.end() || GroupKeyLess{}(view, it->first)) {
-    it = groups.emplace_hint(it, GroupKey{cluster_id, begin, end, active},
-                             std::vector<HostRange>());
-  }
-  auto& ranges = it->second;
-  if (!ranges.empty() && ranges.back().start + ranges.back().nb == slab.start) {
-    ranges.back().nb += slab.nb;
-  } else {
-    ranges.push_back(slab);
-  }
+// A total order (a task's ranges in one cluster are disjoint).
+bool begins_before(const Alloc& a, const Alloc& b) {
+  return std::tie(a.begin, a.task, a.lo) < std::tie(b.begin, b.task, b.lo);
 }
 
-// A slab of hosts of one cluster over which every participating allocation
-// either covers all hosts or none — so all its hosts share one interval
-// list and one sweep covers the whole slab.
-struct Slab {
-  int cluster_id;
-  HostRange hosts;
-  std::vector<Interval> intervals;
+// One cluster's participating allocations, a list per chunk of tasks.
+using Lists = std::vector<const std::vector<Alloc>*>;
+
+// Hosts [lo, hi) of one cluster on which the same two or more tasks ran
+// together over [begin, end). One composite per key (cluster, begin, end,
+// members); the records of a key never share a host.
+struct Record {
+  int cluster_id, lo, hi;
+  Time begin, end;
+  std::vector<TaskId> members;
+  auto key() const { return std::tie(cluster_id, begin, end, members); }
 };
 
-// Sweep one slab's intervals, emitting (members, t0, t1) segments where
-// >= 2 tasks are simultaneously active; accumulates the slab's host range
-// into `groups`.
-void sweep_slab(const Slab& slab, GroupMap& groups) {
-  struct Event {
-    Time time;
-    bool is_start;
-    std::size_t task_index;
+// Sweeps one band of hosts of one cluster over time. The active set is a
+// sorted vector of disjoint host pieces, each with the member set of all its
+// hosts and the time that set has held since. A start over idle hosts adds
+// one piece and an end that owns its piece erases it, O(log k) for k pieces;
+// any other event splits only the pieces it touches.
+class BandSweep {
+ public:
+  BandSweep(int cluster_id, const Lists* lists, long long lo, long long hi,
+            long long block)
+      : cluster_id_(cluster_id), lists_(lists), lo_(lo), hi_(hi),
+        block_(block) {}
+
+  // Sweeps the band in blocks of `block_` hosts, one after another, so the
+  // active set stays a few pieces long. Allocations are clipped at block
+  // (and band) edges.
+  void run() {
+    std::vector<std::vector<Alloc>> blocks((hi_ - lo_ + block_ - 1) / block_);
+    for (const auto* list : *lists_) {
+      for (const Alloc& a : *list) {
+        if (a.hi <= lo_ || a.lo >= hi_) continue;
+        for (long long b = (std::max<long long>(a.lo, lo_) - lo_) / block_;
+             lo_ + b * block_ < std::min<long long>(a.hi, hi_); ++b) {
+          Alloc& piece = blocks[b].emplace_back(a);
+          piece.lo =
+              static_cast<int>(std::max<long long>(a.lo, lo_ + b * block_));
+          piece.hi = static_cast<int>(
+              std::min<long long>({a.hi, hi_, lo_ + (b + 1) * block_}));
+        }
+      }
+    }
+    for (auto& allocs : blocks) {
+      std::sort(allocs.begin(), allocs.end(), begins_before);
+      sweep(allocs);
+    }
+  }
+
+  std::vector<Record> records;
+
+ private:
+  // One member is stored inline in `ref`; two or more live, sorted, in the
+  // pool slot `ref`, so pieces stay trivially movable.
+  struct Piece {
+    int lo, hi;
+    Time since;
+    std::uint32_t count, ref;
   };
-  std::vector<Event> events;
-  events.reserve(slab.intervals.size() * 2);
-  for (const auto& iv : slab.intervals) {
-    events.push_back(Event{iv.begin, true, iv.task_index});
-    events.push_back(Event{iv.end, false, iv.task_index});
-  }
-  // Ends sort before starts at equal times, so half-open touching
-  // intervals never co-occur.
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.is_start != b.is_start) return !a.is_start;
-    return a.task_index < b.task_index;
-  });
 
-  std::vector<std::size_t> active;  // kept sorted
-  std::size_t e = 0;
-  Time prev_time = 0;
-  bool have_prev = false;
-  while (e < events.size()) {
-    const Time now = events[e].time;
-    if (have_prev && active.size() >= 2 && now > prev_time) {
-      append_group_slab(groups, slab.cluster_id, prev_time, now, active,
-                        slab.hosts);
-    }
-    while (e < events.size() && events[e].time == now) {
-      if (events[e].is_start) {
-        active.insert(
-            std::lower_bound(active.begin(), active.end(),
-                             events[e].task_index),
-            events[e].task_index);
-      } else {
-        auto it = std::lower_bound(active.begin(), active.end(),
-                                   events[e].task_index);
-        JED_ASSERT(it != active.end() && *it == events[e].task_index);
-        active.erase(it);
-      }
-      ++e;
-    }
-    prev_time = now;
-    have_prev = true;
-  }
-}
-
-// Cuts each cluster's host axis at every allocation boundary and builds the
-// per-slab interval lists. Within a slab every host sees the same intervals,
-// so the sweep cost scales with the number of distinct host ranges, not the
-// number of hosts a range spans.
-std::vector<Slab> build_slabs(
-    const std::map<int, std::vector<Entry>>& per_cluster) {
-  std::vector<Slab> slabs;
-  for (const auto& [cluster_id, entries] : per_cluster) {
-    int max_end = 0;
-    for (const auto& entry : entries) {
-      max_end = std::max(max_end, entry.range.start + entry.range.nb);
-    }
-
-    // Boundary values are host indices, so when they are dense relative to
-    // the entry count a bucket pass replaces the O(E log E) sort and the
-    // per-entry binary searches; sparse/huge clusters fall back to sorting.
-    std::vector<int> cuts;
-    std::vector<std::size_t> cut_index;  // value -> position in `cuts`
-    const std::size_t bound = static_cast<std::size_t>(max_end) + 1;
-    const bool dense = bound <= entries.size() * 4 + 1024;
-    if (dense) {
-      std::vector<char> mark(bound, 0);
-      for (const auto& entry : entries) {
-        mark[static_cast<std::size_t>(entry.range.start)] = 1;
-        mark[static_cast<std::size_t>(entry.range.start + entry.range.nb)] = 1;
-      }
-      cut_index.assign(bound, 0);
-      for (std::size_t v = 0; v < bound; ++v) {
-        if (mark[v]) {
-          cut_index[v] = cuts.size();
-          cuts.push_back(static_cast<int>(v));
-        }
-      }
-    } else {
-      cuts.reserve(entries.size() * 2);
-      for (const auto& entry : entries) {
-        cuts.push_back(entry.range.start);
-        cuts.push_back(entry.range.start + entry.range.nb);
-      }
-      std::sort(cuts.begin(), cuts.end());
-      cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    }
-    const auto index_of = [&](int value) {
-      if (dense) return cut_index[static_cast<std::size_t>(value)];
-      // Both bounds are cuts, so lower_bound lands exactly on them.
-      return static_cast<std::size_t>(
-          std::lower_bound(cuts.begin(), cuts.end(), value) - cuts.begin());
+  // Sweeps allocations sorted by begins_before; the active set starts and
+  // ends empty. Started allocations wait in a min-heap on (end, position),
+  // so the ends need no sort of their own.
+  void sweep(const std::vector<Alloc>& allocs) {
+    using Running = std::pair<Time, std::uint32_t>;
+    std::priority_queue<Running, std::vector<Running>, std::greater<>> running;
+    const auto finish_next = [&] {
+      const Alloc& a = allocs[running.top().second];
+      event(a.end, a.task, a.lo, a.hi, false);
+      running.pop();
     };
+    for (std::uint32_t k = 0; k < allocs.size(); ++k) {
+      const Alloc& a = allocs[k];
+      // Ends first at equal times: touching half-open intervals never meet.
+      while (!running.empty() && running.top().first <= a.begin) finish_next();
+      event(a.begin, a.task, a.lo, a.hi, true);
+      running.emplace(a.end, k);
+    }
+    while (!running.empty()) finish_next();
+  }
 
-    std::vector<std::vector<Interval>> lists(cuts.size() - 1);
-    for (const auto& entry : entries) {
-      const std::size_t k0 = index_of(entry.range.start);
-      const std::size_t k1 = index_of(entry.range.start + entry.range.nb);
-      for (std::size_t k = k0; k < k1; ++k) {
-        lists[k].push_back(entry.interval);
+  std::uint32_t new_set() {  // a cleared pool slot
+    if (free_.empty()) {
+      free_.push_back(static_cast<std::uint32_t>(sets_.size()));
+      sets_.emplace_back();
+    }
+    const std::uint32_t id = free_.back();
+    free_.pop_back();
+    sets_[id].clear();
+    return id;
+  }
+
+  void add(Piece& p, TaskId task) {
+    if (p.count == 1) {  // moves into the pool
+      const std::uint32_t id = new_set();
+      sets_[id].push_back(std::exchange(p.ref, id));
+    }
+    auto& set = sets_[p.ref];
+    set.insert(std::upper_bound(set.begin(), set.end(), task), task);
+    ++p.count;
+  }
+
+  void remove(Piece& p, TaskId task) {
+    if (--p.count == 0) return;  // it was the inline one
+    auto& set = sets_[p.ref];
+    const auto it = std::lower_bound(set.begin(), set.end(), task);
+    JED_ASSERT(it != set.end() && *it == task);
+    set.erase(it);
+    if (p.count == 1) free_.push_back(std::exchange(p.ref, set.front()));
+  }
+
+  // Touching pieces with equal state merge. Below two members `since`
+  // never reaches a record (the next change resets it), so it may differ.
+  bool mergeable(const Piece& a, const Piece& b) const {
+    if (a.hi != b.lo || a.count != b.count) return false;
+    if (a.count == 1) return a.ref == b.ref;
+    return a.since == b.since && sets_[a.ref] == sets_[b.ref];
+  }
+
+  // The first piece that ends after `host`.
+  std::size_t find(int host) const {
+    return std::partition_point(
+               pieces_.begin(), pieces_.end(),
+               [host](const Piece& p) { return p.hi <= host; }) -
+           pieces_.begin();
+  }
+
+  // Cuts the piece holding `host` in two there (the far side gets its own
+  // copy of the member set); returns the first piece at or after `host`.
+  std::size_t split_at(int host) {
+    const std::size_t at = find(host);
+    if (at == pieces_.size() || pieces_[at].lo >= host) return at;
+    Piece right = pieces_[at];
+    if (right.count >= 2) {
+      right.ref = new_set();
+      sets_[right.ref] = sets_[pieces_[at].ref];
+    }
+    right.lo = pieces_[at].hi = host;
+    pieces_.insert(pieces_.begin() + at + 1, right);
+    return at + 1;
+  }
+
+  // Task `task` starts (or ends) on hosts [lo, hi) at `now`.
+  void event(Time now, TaskId task, int lo, int hi, bool start) {
+    std::size_t at = find(lo);
+    if (start && (at == pieces_.size() || pieces_[at].lo >= hi)) {
+      pieces_.insert(pieces_.begin() + at, Piece{lo, hi, now, 1, task});
+      return;
+    }
+    JED_ASSERT(at < pieces_.size());
+    const Piece& own = pieces_[at];
+    if (!start && own.lo == lo && own.hi == hi && own.count == 1) {
+      pieces_.erase(pieces_.begin() + at);
+      return;
+    }
+    // Otherwise cut the pieces at lo and hi, update every piece between
+    // (a start also fills the idle gaps) and merge equal neighbours.
+    split_at(hi);
+    at = split_at(lo);
+    const std::size_t from = std::max<std::size_t>(at, 1);
+    for (int pos = lo; pos < hi;) {
+      if (at == pieces_.size() || pieces_[at].lo > pos) {
+        JED_ASSERT(start);
+        const int to = at < pieces_.size() ? std::min(pieces_[at].lo, hi) : hi;
+        pieces_.insert(pieces_.begin() + at++, Piece{pos, to, now, 1, task});
+        pos = to;
+        continue;
+      }
+      Piece& q = pieces_[at];
+      if (q.count >= 2 && now > q.since) {  // a composite segment ends
+        records.push_back(
+            Record{cluster_id_, q.lo, q.hi, q.since, now, sets_[q.ref]});
+      }
+      start ? add(q, task) : remove(q, task);
+      q.since = now;
+      pos = q.hi;
+      if (q.count > 0) {
+        ++at;
+      } else {
+        pieces_.erase(pieces_.begin() + at);
       }
     }
-    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
-      if (lists[k].size() < 2) continue;  // no overlap possible
-      slabs.push_back(Slab{cluster_id, HostRange{cuts[k], cuts[k + 1] - cuts[k]},
-                           std::move(lists[k])});
+    for (std::size_t k = std::min(at, pieces_.size() - 1); k >= from; --k) {
+      if (mergeable(pieces_[k - 1], pieces_[k])) {
+        pieces_[k - 1].hi = pieces_[k].hi;
+        if (pieces_[k].count >= 2) free_.push_back(pieces_[k].ref);
+        pieces_.erase(pieces_.begin() + k);
+      }
     }
   }
-  return slabs;
-}
 
-// Appends task `i`'s allocations to the per-cluster entry lists, applying
-// the participation filters (predicate, zero-area).
-void add_task_entries(const std::vector<Task>& tasks, std::size_t i,
-                      const std::function<bool(const Task&)>& include_task,
-                      std::map<int, std::vector<Entry>>* per_cluster) {
-  const Task& t = tasks[i];
-  if (include_task && !include_task(t)) return;
-  if (!(t.end_time() > t.start_time())) return;  // zero area
-  for (const auto& cfg : t.configurations()) {
-    for (const auto& range : cfg.hosts) {
-      (*per_cluster)[cfg.cluster_id].push_back(
-          Entry{range, Interval{i, t.start_time(), t.end_time()}});
-    }
-  }
-}
+  int cluster_id_;
+  const Lists* lists_;
+  long long lo_, hi_, block_;
+  std::vector<Piece> pieces_;
+  std::vector<std::vector<TaskId>> sets_;
+  std::vector<std::uint32_t> free_;
+};
 
-// Slab build + sharded sweep + deterministic merge: the thread-count
-// invariant pipeline shared by the full synthesis and the append path.
-GroupMap sweep_groups(const std::map<int, std::vector<Entry>>& per_cluster,
-                      int threads) {
-  // Slabs are emitted in ascending (cluster, host) order so the sweep can be
-  // partitioned into contiguous shards, one per worker slot.
-  std::vector<Slab> slabs = build_slabs(per_cluster);
-
-  const std::size_t shards = std::min<std::size_t>(
-      slabs.size(), threads < 1 ? 1 : static_cast<std::size_t>(threads));
-  std::vector<GroupMap> shard_groups(shards > 0 ? shards : 1);
-  util::parallel_for(shards, threads, [&](std::size_t s) {
-    const std::size_t begin = slabs.size() * s / shards;
-    const std::size_t end = slabs.size() * (s + 1) / shards;
-    for (std::size_t k = begin; k < end; ++k) {
-      sweep_slab(slabs[k], shard_groups[s]);
+// The synthesis core: collects the allocations of the tasks `ids` in
+// parallel chunks, sweeps each cluster in `threads` host bands of blocks of
+// about eight mean task widths (never more blocks than allocations), then
+// sorts the records and coalesces each key's hosts, so seams vanish.
+std::vector<Composite> sweep(
+    const std::vector<Task>& tasks, const std::vector<TaskId>& ids,
+    const std::function<bool(const Task&)>& include_task, int threads) {
+  const std::size_t chunks = std::clamp<std::size_t>(
+      ids.size() / 4096, 1, static_cast<std::size_t>(std::max(threads, 1)));
+  std::vector<std::map<int, std::vector<Alloc>>> parts(chunks);
+  util::parallel_for(chunks, threads, [&](std::size_t c) {
+    for (std::size_t k = ids.size() * c / chunks;
+         k < ids.size() * (c + 1) / chunks; ++k) {
+      const Task& t = tasks[ids[k]];
+      if (include_task && !include_task(t)) continue;
+      if (!(t.end_time() > t.start_time())) continue;  // zero area
+      for (const auto& cfg : t.configurations()) {
+        for (const auto& r : cfg.hosts) {
+          if (r.nb <= 0) continue;  // no cluster list without allocations
+          parts[c][cfg.cluster_id].push_back(Alloc{
+              t.start_time(), t.end_time(), ids[k], r.start, r.start + r.nb});
+        }
+      }
     }
   });
-
-  // Merge shards in ascending slab order: a group's host ranges end up
-  // exactly as the serial sweep would have produced them (coalescing across
-  // the shard seam), so the result never depends on the thread count.
-  GroupMap groups = std::move(shard_groups[0]);
-  for (std::size_t s = 1; s < shards; ++s) {
-    auto& src = shard_groups[s];
-    for (auto it = src.begin(); it != src.end();) {
-      const auto next = std::next(it);
-      auto dst = groups.lower_bound(it->first);
-      if (dst != groups.end() && !groups.key_comp()(it->first, dst->first)) {
-        auto& merged = dst->second;
-        auto& incoming = it->second;
-        std::size_t from = 0;
-        if (!merged.empty() && !incoming.empty() &&
-            merged.back().start + merged.back().nb == incoming.front().start) {
-          merged.back().nb += incoming.front().nb;
-          from = 1;
-        }
-        merged.insert(merged.end(), incoming.begin() + from, incoming.end());
-      } else {
-        groups.insert(dst, src.extract(it));
-      }
-      it = next;
+  std::map<int, Lists> clusters;
+  for (const auto& part : parts) {
+    for (const auto& [cluster_id, list] : part) {
+      clusters[cluster_id].push_back(&list);
     }
   }
-  return groups;
-}
-
-// Materializes one composite task per group, in GroupMap key order:
-// (cluster_id, begin, end, member indices) ascending.
-std::vector<Composite> materialize(GroupMap&& groups,
-                                   const std::vector<Task>& tasks) {
-  std::vector<Composite> out;
-  out.reserve(groups.size());
-  for (auto& [key, ranges] : groups) {
-    Composite comp;
-    std::vector<std::string> ids;
-    ids.reserve(key.members.size());
-    for (std::size_t idx : key.members) {
-      ids.push_back(tasks[idx].id());
-      comp.member_types.insert(tasks[idx].type());
+  std::vector<BandSweep> bands;
+  for (const auto& [cluster_id, lists] : clusters) {
+    int lo = INT_MAX, hi = INT_MIN;
+    long long count = 0, hosts = 0;
+    for (const auto* list : lists) {
+      for (const Alloc& a : *list) {
+        lo = std::min(lo, a.lo);
+        hi = std::max(hi, a.hi);
+        hosts += a.hi - a.lo;
+      }
+      count += static_cast<long long>(list->size());
     }
-    comp.task.set_id(util::join(ids, "+"));
-    comp.member_ids = std::move(ids);
-    comp.member_indices = key.members;
-    comp.task.set_type("composite");
+    const long long width = static_cast<long long>(hi) - lo;
+    const long long block = std::max((hosts + count - 1) / count * 8,
+                                     (width + count - 1) / count);
+    const long long n = std::min<long long>(std::max(threads, 1), width);
+    for (long long k = 0; k < n; ++k) {
+      bands.emplace_back(cluster_id, &lists, lo + width * k / n,
+                         lo + width * (k + 1) / n, block);
+    }
+  }
+  util::parallel_for(bands.size(), threads,
+                     [&](std::size_t b) { bands[b].run(); });
+  std::vector<Record> records;
+  for (auto& s : bands) {
+    std::move(s.records.begin(), s.records.end(), std::back_inserter(records));
+  }
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              return std::tuple_cat(a.key(), std::tie(a.lo)) <
+                     std::tuple_cat(b.key(), std::tie(b.lo));
+            });
+  std::vector<std::size_t> group_at;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i == 0 || records[i - 1].key() != records[i].key()) {
+      group_at.push_back(i);
+    }
+  }
+  group_at.push_back(records.size());
+  static const std::string* const kCompositeType =
+      detail::intern_task_type("composite");
+  std::vector<Composite> out(group_at.size() - 1);
+  util::parallel_for(out.size(), threads, [&](std::size_t g) {
+    const Record& key = records[group_at[g]];
+    Composite& comp = out[g];
+    for (const TaskId m : key.members) {
+      comp.member_ids.push_back(tasks[m].id());
+      comp.member_types.insert(tasks[m].type());
+      comp.member_indices.push_back(m);
+    }
+    comp.task.set_id(util::join(comp.member_ids, "+"));
+    comp.task.set_interned_type(kCompositeType);
     comp.task.set_times(key.begin, key.end);
     Configuration cfg;
     cfg.cluster_id = key.cluster_id;
-    cfg.hosts = std::move(ranges);
+    for (std::size_t i = group_at[g]; i < group_at[g + 1]; ++i) {
+      const Record& r = records[i];
+      if (i == group_at[g] || records[i - 1].hi != r.lo) {
+        cfg.hosts.push_back(HostRange{r.lo, 0});
+      }
+      cfg.hosts.back().nb += r.hi - r.lo;
+    }
     comp.task.add_configuration(std::move(cfg));
-    out.push_back(std::move(comp));
-  }
+  });
   return out;
-}
-
-// The GroupMap key order, recovered from a materialized composite — the
-// merge order of append_composites. Keys are distinct across the cut, so
-// head + tail merge reproduces the full-sweep order exactly.
-bool composite_less(const Composite& a, const Composite& b) {
-  const int ca = a.task.configurations().front().cluster_id;
-  const int cb = b.task.configurations().front().cluster_id;
-  if (ca != cb) return ca < cb;
-  if (a.task.start_time() != b.task.start_time()) {
-    return a.task.start_time() < b.task.start_time();
-  }
-  if (a.task.end_time() != b.task.end_time()) {
-    return a.task.end_time() < b.task.end_time();
-  }
-  return a.member_indices < b.member_indices;
 }
 
 }  // namespace
@@ -323,16 +336,10 @@ bool composite_less(const Composite& a, const Composite& b) {
 std::vector<Composite> synthesize_composites(
     const Schedule& schedule,
     const std::function<bool(const Task&)>& include_task, int threads) {
-  const auto& tasks = schedule.tasks();
-
-  // Per-cluster allocation lists; hosts stay as ranges throughout — the
-  // sweep works per boundary-delimited slab, so the cost is in the number
-  // of ranges, never in the hosts they expand to.
-  std::map<int, std::vector<Entry>> per_cluster;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    add_task_entries(tasks, i, include_task, &per_cluster);
-  }
-  return materialize(sweep_groups(per_cluster, threads), tasks);
+  JED_ASSERT(schedule.tasks().size() <= std::numeric_limits<TaskId>::max());
+  std::vector<TaskId> ids(schedule.tasks().size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<TaskId>(i);
+  return sweep(schedule.tasks(), ids, include_task, threads);
 }
 
 std::vector<Composite> append_composites(
@@ -343,26 +350,21 @@ std::vector<Composite> append_composites(
   JED_ASSERT(index.task_count() == tasks.size());
   JED_ASSERT(first_new <= tasks.size());
   if (first_new >= tasks.size()) return cached;
-  if (first_new == 0) {
-    return synthesize_composites(schedule, include_task, threads);
-  }
 
   // The initial cut: the earliest participating appended task.
-  bool any_new = false;
-  Time t_cut = 0;
+  const Time none = std::numeric_limits<Time>::infinity();
+  Time t_cut = none;
   for (std::size_t i = first_new; i < tasks.size(); ++i) {
     const Task& t = tasks[i];
-    if (include_task && !include_task(t)) continue;
-    if (!(t.end_time() > t.start_time())) continue;
-    if (!any_new || t.start_time() < t_cut) t_cut = t.start_time();
-    any_new = true;
+    if ((!include_task || include_task(t)) && t.end_time() > t.start_time()) {
+      t_cut = std::min(t_cut, t.start_time());
+    }
   }
-  if (!any_new) return cached;
+  if (t_cut == none) return cached;
 
   // Fixpoint: lower t_cut until no included task strictly straddles it.
-  // Each straddler can lower the cut at most once (to its own begin), so
-  // the loop terminates; the guard caps pathological nesting chains with
-  // a full resweep, which is always correct.
+  // Each straddler lowers the cut at most once, so the loop ends; the guard
+  // caps pathological nesting chains with a full resweep.
   for (int guard = 0;; ++guard) {
     if (guard >= 256) {
       return synthesize_composites(schedule, include_task, threads);
@@ -380,11 +382,9 @@ std::vector<Composite> append_composites(
     t_cut = lowest;
   }
 
-  // Head: cached composites entirely before the cut, kept verbatim. A
-  // composite's members are all active over its whole interval, so a
-  // composite straddling the cut would imply straddling members — the
-  // fixpoint ruled those out; every cached composite falls cleanly on
-  // one side.
+  // Head: cached composites entirely before the cut, kept verbatim. One
+  // straddling the cut would need straddling members, which the fixpoint
+  // ruled out, so every cached composite falls cleanly on one side.
   std::vector<Composite> head;
   head.reserve(cached.size());
   for (auto& comp : cached) {
@@ -393,35 +393,33 @@ std::vector<Composite> append_composites(
     if (comp.task.end_time() <= t_cut) head.push_back(std::move(comp));
   }
 
-  // Tail: every included task at or after the cut, found via the index
-  // (the closed-interval query also reports tasks ending exactly at the
-  // cut; the start >= t_cut filter drops them — with no straddlers,
-  // end > t_cut and start >= t_cut coincide for positive-area tasks).
-  std::vector<std::uint32_t> subset;
+  // Tail: the tasks starting at or after the cut (with no straddlers, the
+  // ones the index reports ending after it), swept on their own.
+  std::vector<std::uint32_t> tail_ids;
   for (const auto& cluster : schedule.clusters()) {
     index.collect_tasks(cluster.id, t_cut,
-                        std::numeric_limits<double>::infinity(), &subset);
+                        std::numeric_limits<double>::infinity(), &tail_ids);
   }
-  std::sort(subset.begin(), subset.end());
-  subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
+  std::erase_if(tail_ids,
+                [&](std::uint32_t i) { return tasks[i].start_time() < t_cut; });
+  std::sort(tail_ids.begin(), tail_ids.end());
+  tail_ids.erase(std::unique(tail_ids.begin(), tail_ids.end()), tail_ids.end());
+  std::vector<Composite> tail = sweep(tasks, tail_ids, include_task, threads);
 
-  std::map<int, std::vector<Entry>> per_cluster;
-  for (std::uint32_t i : subset) {
-    if (tasks[i].start_time() < t_cut) continue;
-    add_task_entries(tasks, i, include_task, &per_cluster);
-  }
-  std::vector<Composite> tail =
-      materialize(sweep_groups(per_cluster, threads), tasks);
-
-  // Both halves are already in GroupMap order with distinct keys; the
-  // merge reproduces the full-sweep output exactly.
+  // Both halves are in key order, and within a cluster all head composites
+  // begin before all tail ones: merging on (cluster, begin) is exact.
   std::vector<Composite> out;
   out.reserve(head.size() + tail.size());
   std::merge(std::make_move_iterator(head.begin()),
              std::make_move_iterator(head.end()),
              std::make_move_iterator(tail.begin()),
              std::make_move_iterator(tail.end()), std::back_inserter(out),
-             composite_less);
+             [](const Composite& a, const Composite& b) {
+               return std::pair(a.task.configurations()[0].cluster_id,
+                                a.task.start_time()) <
+                      std::pair(b.task.configurations()[0].cluster_id,
+                                b.task.start_time());
+             });
   return out;
 }
 
@@ -434,9 +432,8 @@ bool has_resource_conflicts(
 Schedule with_composites(const Schedule& schedule) {
   Schedule out = schedule;
   auto composites = synthesize_composites(schedule);
-  // Composite ids are concatenations of member ids; when the same member set
-  // overlaps in several disjoint rectangles the id would repeat, so a
-  // disambiguating suffix keeps task ids unique (validate() requires it).
+  // A member set overlapping in several disjoint rectangles repeats its id,
+  // so a suffix keeps task ids unique (validate() requires it).
   std::map<std::string, int> seen;
   for (auto& comp : composites) {
     Task t = std::move(comp.task);

@@ -6,10 +6,13 @@
 // *composite task* covering exactly the shared region: its identifier is the
 // concatenation of the member identifiers and its type is "composite".
 //
-// The sweep below finds, per resource, the maximal time intervals covered by
-// two or more tasks with a constant member set, then merges equal
-// (member-set, interval) segments of adjacent hosts of the same cluster into
-// host ranges, yielding one composite task per maximal rectangle group.
+// The result is what a sweep per resource would give: the maximal time
+// intervals covered by two or more tasks with a constant member set, with
+// equal (member-set, interval) segments of adjacent hosts of the same
+// cluster merged into host ranges — one composite task per maximal
+// rectangle group. It is computed by one time sweep per cluster over
+// disjoint host pieces (DESIGN.md §4c), so the cost does not grow with the
+// number of hosts a task spans.
 
 #include <functional>
 #include <set>
@@ -36,9 +39,10 @@ struct Composite {
 /// a task ending exactly when another starts does not overlap it.
 /// `include_task` filters which tasks participate (default: all); the
 /// schedulers use it to e.g. ignore communication when checking compute
-/// exclusivity. The per-resource sweep runs over up to `threads` workers,
-/// partitioned by (cluster, host) and merged deterministically — the result
-/// is identical for every thread count.
+/// exclusivity; it may be called from up to `threads` workers at once. The
+/// sweep runs over up to `threads` workers, each on a contiguous band of a
+/// cluster's hosts, merged deterministically — the result is identical for
+/// every thread count.
 std::vector<Composite> synthesize_composites(
     const Schedule& schedule,
     const std::function<bool(const Task&)>& include_task = nullptr,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
@@ -239,6 +241,26 @@ std::vector<const Task*> Schedule::tasks_in_cluster(int cluster_id) const {
   return out;
 }
 
+bool task_times_ok(Time start, Time end) {
+  return std::isfinite(start) && std::isfinite(end) && end >= start &&
+         std::isfinite(end - start);
+}
+
+void check_task_times(std::string_view id, Time start, Time end) {
+  if (task_times_ok(start, end)) return;
+  const std::string what = "task '" + std::string(id) + "' ";
+  if (!(end >= start) && std::isfinite(start) && std::isfinite(end)) {
+    throw ValidationError(what + "has end_time " + std::to_string(end) +
+                          " before start_time " + std::to_string(start));
+  }
+  char span[64];
+  std::snprintf(span, sizeof(span), "[%g, %g]", start, end);
+  if (!std::isfinite(start) || !std::isfinite(end)) {
+    throw ValidationError(what + "has a non-finite time " + span);
+  }
+  throw ValidationError(what + "spans " + span + ", whose duration overflows");
+}
+
 void Schedule::validate() const {
   if (clusters_.empty()) {
     throw ValidationError("a schedule requires at least one cluster");
@@ -271,12 +293,7 @@ void Schedule::validate() const {
     if (seen_before(ti)) {
       throw ValidationError("duplicate task id '" + t.id() + "'");
     }
-    if (!(t.end_time() >= t.start_time())) {
-      throw ValidationError("task '" + t.id() + "' has end_time " +
-                            std::to_string(t.end_time()) +
-                            " before start_time " +
-                            std::to_string(t.start_time()));
-    }
+    check_task_times(t.id(), t.start_time(), t.end_time());
     if (t.configurations().empty()) {
       throw ValidationError("task '" + t.id() + "' has no configuration");
     }

@@ -205,9 +205,9 @@ class Schedule {
   /// per-cluster partitions, which answer the same query precomputed.
   std::vector<const Task*> tasks_in_cluster(int cluster_id) const;
 
-  /// Checks every invariant of DESIGN.md §6 items 1-2 plus time sanity and
-  /// task-id uniqueness; throws jedule::ValidationError describing the first
-  /// violation found.
+  /// Checks every invariant of DESIGN.md §6 items 1-2 plus time sanity
+  /// (check_task_times) and task-id uniqueness; throws
+  /// jedule::ValidationError describing the first violation found.
   void validate() const;
 
  private:
@@ -217,5 +217,14 @@ class Schedule {
   std::vector<Dependency> deps_;
   std::vector<std::pair<std::string, std::string>> meta_;
 };
+
+/// Time sanity of one task: finite start and end, end >= start, and a
+/// duration end - start that is finite too (1e308 - -1e308 is not).
+bool task_times_ok(Time start, Time end);
+
+/// Throws jedule::ValidationError naming task `id` unless
+/// task_times_ok(start, end). Every validator (Schedule, ScheduleArena,
+/// event appends) reports time errors through it, so they agree.
+void check_task_times(std::string_view id, Time start, Time end);
 
 }  // namespace jedule::model

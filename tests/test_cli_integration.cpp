@@ -9,6 +9,8 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "jedule/io/file.hpp"
 #include "jedule/io/jedule_xml.hpp"
@@ -23,9 +25,9 @@ struct CommandResult {
   std::string output;  // stdout + stderr
 };
 
-CommandResult run_cli(const std::string& args) {
-  const std::string command = std::string(JEDULE_CLI_PATH) + " " + args +
-                              " 2>&1";
+// Runs a shell command line, capturing stdout + stderr.
+CommandResult run_shell(const std::string& line) {
+  const std::string command = "(" + line + ") 2>&1";
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   CommandResult result;
@@ -36,6 +38,10 @@ CommandResult run_cli(const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WEXITSTATUS(status);
   return result;
+}
+
+CommandResult run_cli(const std::string& args) {
+  return run_shell(std::string(JEDULE_CLI_PATH) + " " + args);
 }
 
 // Per-process scratch names: ctest runs each test as its own process, and
@@ -63,6 +69,57 @@ TEST(Cli, NoArgumentsPrintsUsage) {
   const auto r = run_cli("");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(Cli, HelpPrintsUsageAndSucceeds) {
+  for (const std::string args :
+       {"--help", "render --help", "info --help", "batch --help",
+        "serve --help", "render x.csv --out y.png --help"}) {
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 0) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage: jedule"), std::string::npos) << args;
+    EXPECT_NE(r.output.find("render options:"), std::string::npos) << args;
+  }
+}
+
+TEST(Cli, NonFiniteTimesRejected) {
+  const std::string path = temp_path("nonfinite.csv");
+  for (const auto& [row, what] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"1,computation,-1e308,1e308,0:0", "overflows"},
+           {"1,computation,0,inf,0:0", "non-finite"}}) {
+    io::write_file(path, "!cluster,0,main,4\ntask_id,type,start,end,allocs\n" +
+                             row + "\n");
+    for (const std::string command : {"info", "render"}) {
+      const auto r = run_cli(command + " " + path + " --out " +
+                             temp_path("nonfinite.png"));
+      EXPECT_EQ(r.exit_code, 1) << row << "\n" << r.output;
+      EXPECT_NE(r.output.find(what), std::string::npos) << r.output;
+      EXPECT_EQ(r.output.find("makespan"), std::string::npos) << r.output;
+    }
+  }
+}
+
+// A declared size the per-host statistics cannot allocate: the failure
+// must be a message and exit 1, not an uncaught std::bad_alloc (abort,
+// exit 134). The address-space limit keeps the attempt from touching real
+// memory.
+TEST(Cli, AllocationFailureIsAnErrorNotAnAbort) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes reserve more address space than the "
+                  "limit allows";
+#endif
+  const std::string path = temp_path("huge_cluster.csv");
+  io::write_file(path,
+                 "!cluster,0,main,2000000000\n"
+                 "task_id,type,start,end,allocs\n"
+                 "1,computation,0,1,0:0-3\n"
+                 "2,computation,1,2,0:1999999990-1999999999\n");
+  const auto r = run_shell("ulimit -v 2000000 && exec " +
+                           std::string(JEDULE_CLI_PATH) + " info " + path +
+                           " --threads 1");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(r.output.rfind("jedule: ", 0), 0u) << r.output;
 }
 
 TEST(Cli, UnknownCommandFails) {

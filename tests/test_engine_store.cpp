@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,14 +33,15 @@
 namespace jedule::engine {
 namespace {
 
-model::Schedule sample_schedule(int tasks = 8, double shift = 0.0) {
+model::Schedule sample_schedule(int tasks = 8, double shift = 0.0,
+                                double duration = 1.5) {
   model::ScheduleBuilder builder;
   builder.cluster(0, "c0", 8).cluster(1, "c1", 4);
   for (int i = 0; i < tasks; ++i) {
     const double start = shift + i;
     builder
         .task(std::to_string(i), i % 2 ? "computation" : "transfer", start,
-              start + 1.5)
+              start + duration)
         .on(i % 2, i % 3, 2);
   }
   return builder.build();
@@ -141,6 +144,31 @@ TEST(ScheduleStore, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(store.stats().evictions, 1u);
   // The evicted entry stays usable through outstanding references.
   EXPECT_EQ(b->schedule().tasks().size(), 4u);
+}
+
+TEST(ScheduleStore, EvictedEntryIsFreedOutsideTheLock) {
+  // Freeing a million-task entry takes tens of milliseconds; lookups from
+  // other requests must not wait for it. The victim's deleter asks the
+  // store from another thread and records whether it answered meanwhile.
+  ScheduleStore::Options opt;
+  opt.max_entries = 1;
+  ScheduleStore store(opt);
+  const EntryPtr next = make_entry(sample_schedule(4, 100), "next");
+  std::future<EntryPtr> lookup;
+  bool answered = false;
+  {
+    const EntryPtr victim = make_entry(sample_schedule(4, 0), "victim");
+    store.put(EntryPtr(victim.get(), [&, victim](const ScheduleEntry*) {
+      lookup = std::async(std::launch::async,
+                          [&] { return store.find(next->id); });
+      answered = lookup.wait_for(std::chrono::seconds(5)) ==
+                 std::future_status::ready;
+    }));
+  }
+  store.put(next);  // evicts the victim, whose last reference is the store's
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(lookup.get(), next);
+  EXPECT_EQ(store.stats().evictions, 1u);
 }
 
 TEST(ScheduleStore, TaskBudgetEvictsButAdmitsOversizedEntry) {
@@ -383,6 +411,45 @@ TEST(ScheduleEntry, AppendedEntryMatchesFreshIngestOnEveryExporter) {
       EXPECT_EQ(render_with(grown), render_with(fresh))
           << format << " threads=" << threads;
     }
+  }
+}
+
+TEST(ScheduleEntry, AppendTakesOverTheBaseCompositeList) {
+  // An append moves the base's computed composite list into the grown
+  // entry, which extends it; a list that a render of the base still holds
+  // is copied instead. Either way the lists equal a fresh ingest's, and
+  // the base synthesizes its own list again when asked.
+  auto same = [](const std::vector<model::Composite>& a,
+                 const std::vector<model::Composite>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].task.id() != b[i].task.id() ||
+          a[i].task.start_time() != b[i].task.start_time() ||
+          a[i].task.end_time() != b[i].task.end_time() ||
+          a[i].member_indices != b[i].member_indices ||
+          a[i].task.configurations().at(0).hosts !=
+              b[i].task.configurations().at(0).hosts) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // Long tasks: each overlaps its neighbours on shared hosts.
+  const EntryPtr fresh = make_entry(sample_schedule(24, 0, 3.5), "fresh");
+  const auto want = fresh->composites();
+  const auto events = events_from_tasks(fresh->schedule(), 16);
+  for (const bool held : {false, true}) {
+    const EntryPtr base = make_entry(sample_schedule(16, 0, 3.5), "base");
+    auto in_flight = base->composites();
+    const std::vector<model::Composite> original = *in_flight;
+    ASSERT_FALSE(original.empty());
+    if (!held) in_flight.reset();
+    const EntryPtr grown = append_entry(base, events);
+    EXPECT_TRUE(same(*grown->composites(), *want)) << "held=" << held;
+    if (held) {
+      EXPECT_TRUE(same(*in_flight, original));
+    }
+    EXPECT_TRUE(same(*base->composites(), original)) << "held=" << held;
   }
 }
 

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
+#include <limits>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -192,6 +195,53 @@ TEST(ScheduleArena, ValidateAgreesWithScheduleValidate) {
   });
   EXPECT_THROW(dup_id.validate(), ValidationError);
   EXPECT_THROW(ScheduleArena(dup_id).validate(), ValidationError);
+}
+
+TEST(ScheduleArena, NonFiniteTimesRejectedLikeScheduleValidate) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [start, end] : std::vector<std::pair<double, double>>{
+           {0, inf}, {-inf, 0}, {-1e308, 1e308}}) {
+    Schedule s;
+    s.add_cluster(0, "c0", 4);
+    for (int i = 0; i < 9; ++i) {  // enough rows for the SIMD scans
+      Task t("t" + std::to_string(i), "computation", i, i + 1.0);
+      if (i == 6) t.set_times(start, end);
+      t.allocate(0, i % 4, 1);
+      s.add_task(t);
+    }
+    std::string want;
+    try {
+      s.validate();
+    } catch (const ValidationError& e) {
+      want = e.what();
+    }
+    ASSERT_NE(want.find("task 't6'"), std::string::npos) << want;
+    const ScheduleArena arena(s);
+    for (const auto& check : {std::function<void()>([&] { arena.validate(); }),
+                              std::function<void()>(
+                                  [&] { arena.validate_columns(); })}) {
+      try {
+        check();
+        ADD_FAILURE() << "accepted [" << start << ", " << end << "]";
+      } catch (const ValidationError& e) {
+        EXPECT_EQ(std::string(e.what()), want);
+      }
+    }
+    // Appends go through the same check.
+    ScheduleArena grown(ScheduleBuilder()
+                            .cluster(0, "c0", 4)
+                            .task("a", "computation", 0, 1)
+                            .on(0, 0, 1)
+                            .build());
+    grown.validate();
+    ScheduleArena::Event e;
+    e.id = "t6";
+    e.type = "computation";
+    e.start = start;
+    e.end = end;
+    EXPECT_THROW(grown.append({e}), ValidationError);
+    EXPECT_EQ(grown.task_count(), 1u);
+  }
 }
 
 TEST(ScheduleArena, AppendMatchesFreshBuild) {

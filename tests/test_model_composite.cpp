@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <set>
+#include <tuple>
 
 #include "jedule/model/builder.hpp"
 #include "jedule/model/task_index.hpp"
 #include "jedule/util/rng.hpp"
+#include "jedule/util/strings.hpp"
 
 namespace jedule::model {
 namespace {
@@ -255,6 +259,7 @@ void expect_same_composites(const std::vector<Composite>& got,
     const Composite& g = got[i];
     const Composite& w = want[i];
     EXPECT_EQ(g.task.id(), w.task.id()) << label << " #" << i;
+    EXPECT_EQ(g.task.type(), w.task.type()) << label << " #" << i;
     EXPECT_EQ(g.task.start_time(), w.task.start_time()) << label << " #" << i;
     EXPECT_EQ(g.task.end_time(), w.task.end_time()) << label << " #" << i;
     EXPECT_EQ(g.task.configurations().size(), w.task.configurations().size())
@@ -263,6 +268,9 @@ void expect_same_composites(const std::vector<Composite>& got,
          c < g.task.configurations().size() &&
          c < w.task.configurations().size();
          ++c) {
+      EXPECT_EQ(g.task.configurations()[c].cluster_id,
+                w.task.configurations()[c].cluster_id)
+          << label << " #" << i;
       EXPECT_EQ(g.task.configurations()[c].hosts,
                 w.task.configurations()[c].hosts)
           << label << " #" << i;
@@ -335,6 +343,201 @@ TEST_P(CompositeAppend, ExtensionMatchesFullResweep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompositeAppend, ::testing::Range(1, 7));
+
+// Differential against a brute-force oracle: sweep every host on its own,
+// then merge equal (begin, end, members) segments of adjacent hosts.
+std::vector<Composite> oracle_composites(
+    const Schedule& s, const std::function<bool(const Task&)>& include) {
+  struct Key {
+    int cluster;
+    Time begin, end;
+    std::vector<std::size_t> members;
+    auto operator<=>(const Key&) const = default;
+  };
+  std::map<Key, std::vector<int>> hosts_of;
+  for (const auto& cluster : s.clusters()) {
+    for (int h = 0; h < cluster.hosts; ++h) {
+      std::vector<std::tuple<Time, int, std::size_t>> events;  // ends first
+      for (std::size_t i = 0; i < s.tasks().size(); ++i) {
+        const Task& t = s.tasks()[i];
+        if ((include && !include(t)) || !(t.end_time() > t.start_time())) {
+          continue;
+        }
+        for (const auto& cfg : t.configurations()) {
+          for (const auto& r : cfg.hosts) {
+            if (cfg.cluster_id != cluster.id || h < r.start ||
+                h >= r.start + r.nb) {
+              continue;
+            }
+            events.emplace_back(t.start_time(), 1, i);
+            events.emplace_back(t.end_time(), 0, i);
+          }
+        }
+      }
+      std::sort(events.begin(), events.end());
+      std::multiset<std::size_t> active;
+      for (std::size_t e = 0; e < events.size(); ++e) {
+        const auto [time, is_start, task] = events[e];
+        if (is_start) {
+          active.insert(task);
+        } else {
+          active.erase(active.find(task));
+        }
+        const Time next = e + 1 < events.size() ? std::get<0>(events[e + 1])
+                                                : time;
+        if (active.size() >= 2 && next > time) {
+          hosts_of[Key{cluster.id, time, next, {active.begin(), active.end()}}]
+              .push_back(h);
+        }
+      }
+    }
+  }
+  std::vector<Composite> out;
+  for (const auto& [key, hosts] : hosts_of) {
+    Composite c;
+    for (std::size_t m : key.members) {
+      c.member_ids.push_back(s.tasks()[m].id());
+      c.member_types.insert(s.tasks()[m].type());
+    }
+    c.member_indices = key.members;
+    c.task = Task(util::join(c.member_ids, "+"), "composite", key.begin,
+                  key.end);
+    Configuration cfg;
+    cfg.cluster_id = key.cluster;
+    for (int h : hosts) {
+      if (!cfg.hosts.empty() &&
+          cfg.hosts.back().start + cfg.hosts.back().nb == h) {
+        ++cfg.hosts.back().nb;
+      } else {
+        cfg.hosts.push_back(HostRange{h, 1});
+      }
+    }
+    c.task.add_configuration(std::move(cfg));
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+// Layered random schedules on several clusters: slots tiled left to right
+// with tasks of widths 1..max_width, `depth` overlays per task on a
+// sub-range (some starting exactly where their base ends), scattered and
+// cross-cluster allocations, and zero-area markers.
+Schedule layered_schedule(std::uint64_t seed, int max_width, int depth) {
+  util::Rng rng(seed);
+  Schedule s;
+  const std::vector<int> sizes = {static_cast<int>(2 * max_width + 7), 9, 64};
+  for (int c = 0; c < 3; ++c) {
+    s.add_cluster(c, "c" + std::to_string(c), sizes[c]);
+  }
+  int next_id = 0;
+  const auto add = [&](Time begin, Time end, std::vector<Configuration> cfgs) {
+    Task t("t" + std::to_string(next_id),
+           next_id % 3 ? "computation" : "transfer", begin, end);
+    ++next_id;
+    for (auto& cfg : cfgs) t.add_configuration(std::move(cfg));
+    s.add_task(std::move(t));
+  };
+  for (int slot = 0; slot < 6; ++slot) {
+    for (int c = 0; c < 3; ++c) {
+      const int hosts = sizes[c];
+      for (int pos = static_cast<int>(rng.uniform_int(0, 2)); pos < hosts;) {
+        const int width = static_cast<int>(std::min<std::int64_t>(
+            rng.uniform_int(1, std::min(max_width, hosts)), hosts - pos));
+        const Time begin =
+            slot * 10 + static_cast<double>(rng.uniform_int(0, 3));
+        const Time end = begin + static_cast<double>(rng.uniform_int(0, 6));
+        std::vector<Configuration> cfgs{{c, {HostRange{pos, width}}}};
+        if (rng.bernoulli(0.15)) {  // a second, disjoint range in the cluster
+          const int gap = static_cast<int>(rng.uniform_int(1, 3));
+          if (pos + width + gap < hosts) {
+            cfgs[0].hosts.push_back(HostRange{pos + width + gap, 1});
+          }
+        }
+        if (rng.bernoulli(0.1)) {  // cross-cluster
+          const int other = (c + 1) % 3;
+          const int nb = static_cast<int>(
+              rng.uniform_int(1, std::min(max_width, sizes[other])));
+          cfgs.push_back(Configuration{
+              other, {HostRange{static_cast<int>(rng.uniform_int(
+                                    0, sizes[other] - nb)),
+                                nb}}});
+        }
+        add(begin, end, cfgs);
+        for (int d = 0; d < depth; ++d) {
+          const int nb = static_cast<int>(rng.uniform_int(1, width));
+          const int first =
+              pos + static_cast<int>(rng.uniform_int(0, width - nb));
+          const Time b =
+              rng.bernoulli(0.2)
+                  ? end  // touches its base
+                  : begin + static_cast<double>(rng.uniform_int(0, 4));
+          add(b, b + static_cast<double>(rng.uniform_int(0, 5)),
+              {Configuration{c, {HostRange{first, nb}}}});
+        }
+        pos += width + static_cast<int>(rng.uniform_int(0, 2));
+      }
+    }
+  }
+  s.validate();
+  return s;
+}
+
+struct OracleCase {
+  int max_width;
+  int depth;
+};
+
+class CompositeOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(CompositeOracle, SweepMatchesPerHostReference) {
+  const auto [max_width, depth] = GetParam();
+  const auto compute_only = [](const Task& t) {
+    return t.type() == "computation";
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Schedule s = layered_schedule(seed * 7919 + max_width * 31 + depth,
+                                        max_width, depth);
+    const TaskIndex index(s);
+    for (const bool filtered : {false, true}) {
+      const std::function<bool(const Task&)> include =
+          filtered ? std::function<bool(const Task&)>(compute_only) : nullptr;
+      const auto want = oracle_composites(s, include);
+      if (depth >= 4 && !filtered) {
+        EXPECT_FALSE(want.empty());
+      }
+      for (int threads : {1, 2, 8}) {
+        const std::string label =
+            "width<=" + std::to_string(max_width) + " depth=" +
+            std::to_string(depth) + " seed=" + std::to_string(seed) +
+            " threads=" + std::to_string(threads) +
+            (filtered ? " filtered" : "");
+        expect_same_composites(synthesize_composites(s, include, threads),
+                               want, label);
+        for (std::size_t split : {s.tasks().size() / 3,
+                                  s.tasks().size() * 4 / 5}) {
+          Schedule prefix;
+          for (const auto& c : s.clusters()) prefix.add_cluster(c);
+          for (std::size_t i = 0; i < split; ++i) prefix.add_task(s.tasks()[i]);
+          expect_same_composites(
+              append_composites(s, index,
+                                synthesize_composites(prefix, include, threads),
+                                split, include, threads),
+              want, label + " split=" + std::to_string(split));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WidthsAndDepths, CompositeOracle,
+    ::testing::Values(OracleCase{1, 0}, OracleCase{1, 3}, OracleCase{4, 1},
+                      OracleCase{4, 5}, OracleCase{16, 0}, OracleCase{16, 2},
+                      OracleCase{64, 0}, OracleCase{64, 4}),
+    [](const auto& info) {
+      return "w" + std::to_string(info.param.max_width) + "d" +
+             std::to_string(info.param.depth);
+    });
 
 }  // namespace
 }  // namespace jedule::model

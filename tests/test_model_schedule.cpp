@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "jedule/model/builder.hpp"
 #include "jedule/util/error.hpp"
 
@@ -185,6 +190,42 @@ TEST(Validate, DuplicateHostWithinConfiguration) {
   t.add_configuration(cfg);
   s.add_task(t);
   EXPECT_THROW(s.validate(), ValidationError);
+}
+
+// Times must be finite, and so must durations: a task on [-1e308, 1e308]
+// would otherwise give an infinite makespan and NaN utilization.
+TEST(Validate, NonFiniteTimesAndOverflowingDurationsRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::pair<double, double>, std::string>> cases =
+      {{{0, inf}, "non-finite"},     {{-inf, 0}, "non-finite"},
+       {{-inf, inf}, "non-finite"},  {{nan, 1}, "non-finite"},
+       {{0, nan}, "non-finite"},     {{-1e308, 1e308}, "overflows"},
+       {{-1.7e308, 1.7e308}, "overflows"}};
+  for (const auto& [times, what] : cases) {
+    Schedule s;
+    s.add_cluster(0, "c", 2);
+    Task ok("0", "t", 0, 1);
+    ok.allocate(0, 0, 1);
+    s.add_task(ok);
+    Task t("1", "t", times.first, times.second);
+    t.allocate(0, 1, 1);
+    s.add_task(t);
+    try {
+      s.validate();
+      ADD_FAILURE() << "accepted [" << times.first << ", " << times.second
+                    << "]";
+    } catch (const ValidationError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("task '1'"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Huge but finite spans stay legal.
+  EXPECT_TRUE(task_times_ok(-1e307, 1e307));
+  EXPECT_TRUE(task_times_ok(1e308, 1e308));
+  EXPECT_FALSE(task_times_ok(-1e308, 1e308));
 }
 
 TEST(Validate, ZeroDurationTaskIsLegal) {

@@ -92,6 +92,10 @@ struct BadInput {
   const char* text;
 };
 
+// Without this, gtest prints the parameter as raw bytes, i.e. the two
+// string pointers, and the listed test names change with every build.
+void PrintTo(const BadInput& in, std::ostream* os) { *os << in.name; }
+
 class ParseRejects : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(ParseRejects, Throws) {
