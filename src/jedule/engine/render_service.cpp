@@ -100,6 +100,17 @@ std::uint64_t colormap_epoch(const color::ColorMap& m) {
 
 }  // namespace
 
+void use_entry(render::RenderOptions& options, const ScheduleEntry& entry) {
+  options.task_index = &entry.index;
+  options.edge_index = &entry.edges;
+  options.assume_validated = true;  // entries validate at ingest
+  if (options.style.show_composites && options.style.type_filter.empty() &&
+      !options.style.time_window) {
+    options.composites =
+        entry.composites(util::resolve_threads(options.threads));
+  }
+}
+
 RenderService::RenderService(Options opt) : opt_(opt), tiles_(opt.tile) {}
 
 std::uint64_t RenderService::options_digest(
@@ -157,24 +168,13 @@ RenderService::Artifact RenderService::render(const EntryPtr& entry,
   req.u64(options_digest(options));
   const Key key{entry->content_hash, req.h};
   return cached(key, media_type_for(format), Encoding::identity, [&] {
-    // The entry's index makes windowed renders O(visible), the edge
-    // index makes dependency layout O(log n + visible), and the entry's
-    // cached composite list replaces the per-render overlap sweep; bytes
-    // are identical with or without any of them, so all stay out of the
-    // cache key.
-    options.task_index = &entry->index;
-    options.edge_index = &entry->edges;
-    options.assume_validated = true;  // entries validate at ingest
+    // The entry's indexes and composite list leave the bytes unchanged,
+    // so they stay out of the cache key.
+    use_entry(options, *entry);
     if (!entry->edges.empty() &&
         options.style.edges != render::EdgeMode::kOff) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.edge_renders;
-    }
-    std::shared_ptr<const std::vector<model::Composite>> composites;
-    if (options.style.show_composites && options.style.type_filter.empty() &&
-        !options.style.time_window) {
-      composites = entry->composites(util::resolve_threads(options.threads));
-      options.composites = composites.get();
     }
     std::string bytes = render::render_to_bytes(entry->schedule(), options,
                                                 format);

@@ -34,6 +34,12 @@
 
 namespace jedule::engine {
 
+/// Points `options` at what `entry` already holds: its task and edge
+/// indexes, its cached composite list when the style draws unfiltered,
+/// unwindowed composites, and the validation ingest already did. The bytes
+/// are identical with or without them; the entry must outlive the render.
+void use_entry(render::RenderOptions& options, const ScheduleEntry& entry);
+
 class RenderService {
  public:
   struct Options {

@@ -45,9 +45,11 @@ namespace jedule::engine {
 /// rebuild the same way. The identity surface (id, content_hash, index,
 /// full_range) is always eager.
 struct ScheduleEntry {
-  /// AoS ingest (parser output): validates, indexes, hashes. `ingest_in`
-  /// records what the parse did (threads, chunks, gzip, mapped input);
-  /// its thread count also drives the parallel TaskIndex build.
+  /// AoS ingest: indexes and hashes a schedule that is already valid
+  /// (io::parse_schedule / load_schedule return it validated; make_entry
+  /// validates an in-memory one first). `ingest_in` records what the parse
+  /// did (threads, chunks, gzip, mapped input); its thread count also
+  /// drives the parallel TaskIndex build.
   ScheduleEntry(model::Schedule schedule_in, std::string source_in,
                 io::IngestStats ingest_in = {});
 

@@ -5,10 +5,12 @@
 
 #include "jedule/engine/events.hpp"
 #include "jedule/engine/options.hpp"
+#include "jedule/engine/render_service.hpp"
 #include "jedule/engine/store.hpp"
 #include "jedule/io/colormap_xml.hpp"
 #include "jedule/io/file.hpp"
 #include "jedule/io/registry.hpp"
+#include "jedule/model/composite.hpp"
 #include "jedule/model/stats.hpp"
 #include "jedule/render/ascii.hpp"
 #include "jedule/render/exporter.hpp"
@@ -64,7 +66,12 @@ std::string Session::inspect(double x, double y) {
        it != lay.boxes.rend() && it->composite; ++it) {
     if (x >= it->x && x < it->x + std::max(it->w, 1.0) && y >= it->y &&
         y < it->y + std::max(it->h, 1.0)) {
-      return describe(lay.tasks[it->task_index]);
+      const model::Composite& comp = (*lay.composites)[it->task_index];
+      std::string out = describe(comp.task);
+      for (const auto& [k, v] : model::composite_properties(comp)) {
+        out += " " + k + "=" + v;
+      }
+      return out;
     }
   }
 
@@ -84,19 +91,12 @@ std::string Session::inspect(double x, double y) {
     return panel->time_range.begin +
            (px - panel->x) / panel->w * panel->time_range.length();
   };
-  const auto& type_filter = state_.style().type_filter;
-  const auto type_selected = [&type_filter](const model::Task& t) {
-    return type_filter.empty() ||
-           std::find(type_filter.begin(), type_filter.end(), t.type()) !=
-               type_filter.end();
-  };
-
   long long best = -1;
   state_.index().query(
       panel->cluster_id, time_of_x(x - 1.0), time_of_x(x),
       [&](const model::TaskIndex::Entry& e) {
         const model::Task& t = schedule().tasks()[e.task];
-        if (!type_selected(t)) return;
+        if (!state_.style().shows_type(t.type())) return;
         // Replicate the layout's clipping and box arithmetic exactly so
         // the answer matches what hit_test on a full layout would return.
         const double t0 = std::max(e.begin, panel->time_range.begin);
@@ -198,7 +198,8 @@ std::string Session::follow() {
       // Non-contiguous allocation or a prefix change: fall through.
     }
   }
-  state_.reset_entry(engine::make_entry(std::move(fresh), path_));
+  state_.reset_entry(
+      std::make_shared<const engine::ScheduleEntry>(std::move(fresh), path_));
   return "reloaded " + path_;
 }
 
@@ -206,8 +207,7 @@ void Session::snapshot(const std::string& path) {
   render::RenderOptions options;
   options.style = state_.style();
   options.colormap = state_.colormap();
-  options.task_index = &state_.index();
-  options.edge_index = &state_.entry()->edges;
+  engine::use_entry(options, *state_.entry());
   render::export_schedule(schedule(), options, path);
 }
 

@@ -44,16 +44,16 @@ std::size_t scalar_first_violation(const double* start, const double* end,
 
 ColumnScanOps g_scan_ops{&scalar_minmax_f64, &scalar_first_violation};
 
-// First row whose times fail task_times_ok, or n. Two SIMD sweeps clear
-// the valid case: with no row out of order (which includes NaN), finite
-// column bounds less than a double's range apart bound every time and
-// duration. Anything else is reported by a scalar rescan.
+// First row whose times fail task_times_ok, or n; sets *lo / *hi to the
+// earliest start and latest end. Two SIMD sweeps clear the valid case:
+// with no row out of order (which includes NaN), finite column bounds less
+// than a double's range apart bound every time and duration. Anything else
+// is reported by a scalar rescan.
 std::size_t first_time_violation(const double* start, const double* end,
-                                 std::size_t n) {
-  double lo = 0, hi = 0;
-  g_scan_ops.minmax_f64(start, end, n, &lo, &hi);
+                                 std::size_t n, double* lo, double* hi) {
+  g_scan_ops.minmax_f64(start, end, n, lo, hi);
   if (g_scan_ops.first_violation(start, end, n) == n &&
-      std::isfinite(hi - lo)) {
+      std::isfinite(*hi - *lo)) {
     return n;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -543,8 +543,10 @@ void ScheduleArena::validate() const {
   // Wide pre-scan: the common, valid case skips the per-row time branch
   // entirely; a hit is re-reported below at the exact row AoS validate
   // would have reached first.
+  double lo = 0, hi = 0;
   const std::size_t violation =
-      n > 0 ? first_time_violation(start_.data(), end_.data(), n) : 0;
+      n > 0 ? first_time_violation(start_.data(), end_.data(), n, &lo, &hi)
+            : 0;
 
   id_slots_.assign(std::bit_ceil(n * 2 + 16), kIdEmpty);
   id_count_ = 0;
@@ -583,6 +585,7 @@ void ScheduleArena::validate() const {
       check_config_ranges(id, cluster, range_off_[c], range_off_[c + 1]);
     }
   }
+  check_schedule_span(lo, hi);
   check_deps();
 }
 
@@ -670,11 +673,13 @@ void ScheduleArena::validate_columns() const {
   // Each invariant becomes one branch-light sweep over a single column
   // instead of validate()'s fused per-row walk; none of them needs the
   // task id until the (exceptional) moment it reports a violation.
+  double lo = 0, hi = 0;
   const std::size_t violation =
-      first_time_violation(start_.data(), end_.data(), n);
+      first_time_violation(start_.data(), end_.data(), n, &lo, &hi);
   if (violation < n) {
     check_task_times(task_id(violation), start_[violation], end_[violation]);
   }
+  check_schedule_span(lo, hi);
   for (std::size_t i = 0; i < n; ++i) {
     if (id_off_[i + 1] == id_off_[i]) {
       throw ValidationError("task with empty id");
@@ -846,6 +851,16 @@ void ScheduleArena::append(const std::vector<Event>& events) {
       out.emplace_back(src, data);
     }
     batch_index.emplace(e.id, next_index++);
+  }
+  if (!events.empty()) {
+    const auto range = time_range();
+    Time lo = range ? range->begin : events.front().start;
+    Time hi = range ? range->end : events.front().end;
+    for (const Event& e : events) {
+      lo = std::min(lo, e.start);
+      hi = std::max(hi, e.end);
+    }
+    check_schedule_span(lo, hi);
   }
 
   // Phase 2: commit. First write to a mapped arena copies the columns out.

@@ -34,7 +34,7 @@ bool begins_before(const Alloc& a, const Alloc& b) {
   return std::tie(a.begin, a.task, a.lo) < std::tie(b.begin, b.task, b.lo);
 }
 
-// One cluster's participating allocations, a list per chunk of tasks.
+// The allocations dealt to one band of a cluster, a list per chunk of tasks.
 using Lists = std::vector<const std::vector<Alloc>*>;
 
 // Hosts [lo, hi) of one cluster on which the same two or more tasks ran
@@ -54,26 +54,38 @@ struct Record {
 // any other event splits only the pieces it touches.
 class BandSweep {
  public:
-  BandSweep(int cluster_id, const Lists* lists, long long lo, long long hi,
-            long long block)
-      : cluster_id_(cluster_id), lists_(lists), lo_(lo), hi_(hi),
-        block_(block) {}
+  BandSweep(int cluster_id, Lists lists, long long lo, long long hi)
+      : cluster_id_(cluster_id), lists_(std::move(lists)), lo_(lo), hi_(hi) {}
 
-  // Sweeps the band in blocks of `block_` hosts, one after another, so the
-  // active set stays a few pieces long. Allocations are clipped at block
-  // (and band) edges.
+  // Sweeps the hosts the band's allocations cover, clipped to [lo_, hi_),
+  // in blocks of about eight mean allocation widths (never more blocks
+  // than allocations), one after another, so the active set stays a few
+  // pieces long. Allocations are clipped at block edges.
   void run() {
-    std::vector<std::vector<Alloc>> blocks((hi_ - lo_ + block_ - 1) / block_);
-    for (const auto* list : *lists_) {
+    long long lo = LLONG_MAX, hi = LLONG_MIN, count = 0, hosts = 0;
+    for (const auto* list : lists_) {
       for (const Alloc& a : *list) {
-        if (a.hi <= lo_ || a.lo >= hi_) continue;
-        for (long long b = (std::max<long long>(a.lo, lo_) - lo_) / block_;
-             lo_ + b * block_ < std::min<long long>(a.hi, hi_); ++b) {
+        const long long a0 = std::max<long long>(a.lo, lo_);
+        const long long a1 = std::min<long long>(a.hi, hi_);
+        lo = std::min(lo, a0);
+        hi = std::max(hi, a1);
+        hosts += a1 - a0;
+        ++count;
+      }
+    }
+    if (count == 0) return;
+    const long long block = std::max((hosts + count - 1) / count * 8,
+                                     (hi - lo + count - 1) / count);
+    std::vector<std::vector<Alloc>> blocks((hi - lo + block - 1) / block);
+    for (const auto* list : lists_) {
+      for (const Alloc& a : *list) {
+        for (long long b = (std::max<long long>(a.lo, lo) - lo) / block;
+             lo + b * block < std::min<long long>(a.hi, hi); ++b) {
           Alloc& piece = blocks[b].emplace_back(a);
           piece.lo =
-              static_cast<int>(std::max<long long>(a.lo, lo_ + b * block_));
+              static_cast<int>(std::max<long long>(a.lo, lo + b * block));
           piece.hi = static_cast<int>(
-              std::min<long long>({a.hi, hi_, lo_ + (b + 1) * block_}));
+              std::min<long long>({a.hi, hi, lo + (b + 1) * block}));
         }
       }
     }
@@ -226,24 +238,46 @@ class BandSweep {
   }
 
   int cluster_id_;
-  const Lists* lists_;
-  long long lo_, hi_, block_;
+  Lists lists_;
+  long long lo_, hi_;
   std::vector<Piece> pieces_;
   std::vector<std::vector<TaskId>> sets_;
   std::vector<std::uint32_t> free_;
 };
 
 // The synthesis core: collects the allocations of the tasks `ids` in
-// parallel chunks, sweeps each cluster in `threads` host bands of blocks of
-// about eight mean task widths (never more blocks than allocations), then
-// sorts the records and coalesces each key's hosts, so seams vanish.
+// parallel chunks, dealing each to the `threads` host bands of its cluster
+// it touches (the outer bands also take any hosts outside the declared
+// ones), sweeps the bands in parallel, then sorts the records and coalesces
+// each key's hosts, so seams vanish.
 std::vector<Composite> sweep(
-    const std::vector<Task>& tasks, const std::vector<TaskId>& ids,
+    const Schedule& schedule, const std::vector<TaskId>& ids,
     const std::function<bool(const Task&)>& include_task, int threads) {
+  const auto& tasks = schedule.tasks();
+  // Band k of the n bands of a cluster of H hosts starts at host H * k / n.
+  struct Banding {
+    long long hosts, n;
+    long long of(long long host) const {  // the band holding `host`
+      return n == 1 ? 0 : std::clamp(((host + 1) * n - 1) / hosts, 0LL, n - 1);
+    }
+  };
+  std::map<int, Banding> banding;
+  for (const auto& c : schedule.clusters()) {
+    banding[c.id] = Banding{
+        c.hosts, std::clamp<long long>(threads, 1, std::max(c.hosts, 1))};
+  }
+  const auto banding_of = [&](int cluster_id) {
+    const auto it = banding.find(cluster_id);
+    return it != banding.end() ? it->second : Banding{0, 1};
+  };
   const std::size_t chunks = std::clamp<std::size_t>(
       ids.size() / 4096, 1, static_cast<std::size_t>(std::max(threads, 1)));
-  std::vector<std::map<int, std::vector<Alloc>>> parts(chunks);
+  // Per chunk and cluster, one allocation list per band.
+  std::vector<std::map<int, std::vector<std::vector<Alloc>>>> parts(chunks);
   util::parallel_for(chunks, threads, [&](std::size_t c) {
+    int cluster_id = 0;  // of `bands` and `lists`, cached across tasks
+    Banding bands{0, 0};
+    std::vector<std::vector<Alloc>>* lists = nullptr;
     for (std::size_t k = ids.size() * c / chunks;
          k < ids.size() * (c + 1) / chunks; ++k) {
       const Task& t = tasks[ids[k]];
@@ -252,37 +286,39 @@ std::vector<Composite> sweep(
       for (const auto& cfg : t.configurations()) {
         for (const auto& r : cfg.hosts) {
           if (r.nb <= 0) continue;  // no cluster list without allocations
-          parts[c][cfg.cluster_id].push_back(Alloc{
-              t.start_time(), t.end_time(), ids[k], r.start, r.start + r.nb});
+          if (lists == nullptr || cfg.cluster_id != cluster_id) {
+            cluster_id = cfg.cluster_id;
+            bands = banding_of(cluster_id);
+            lists = &parts[c][cluster_id];
+            lists->resize(static_cast<std::size_t>(bands.n));
+          }
+          const Alloc a{t.start_time(), t.end_time(), ids[k], r.start,
+                        r.start + r.nb};
+          for (long long b = bands.of(a.lo); b <= bands.of(a.hi - 1); ++b) {
+            (*lists)[static_cast<std::size_t>(b)].push_back(a);
+          }
         }
       }
     }
   });
-  std::map<int, Lists> clusters;
+  std::map<int, std::vector<Lists>> clusters;
   for (const auto& part : parts) {
-    for (const auto& [cluster_id, list] : part) {
-      clusters[cluster_id].push_back(&list);
+    for (const auto& [cluster_id, lists] : part) {
+      auto& bands = clusters[cluster_id];
+      bands.resize(lists.size());
+      for (std::size_t b = 0; b < lists.size(); ++b) {
+        bands[b].push_back(&lists[b]);
+      }
     }
   }
   std::vector<BandSweep> bands;
-  for (const auto& [cluster_id, lists] : clusters) {
-    int lo = INT_MAX, hi = INT_MIN;
-    long long count = 0, hosts = 0;
-    for (const auto* list : lists) {
-      for (const Alloc& a : *list) {
-        lo = std::min(lo, a.lo);
-        hi = std::max(hi, a.hi);
-        hosts += a.hi - a.lo;
-      }
-      count += static_cast<long long>(list->size());
-    }
-    const long long width = static_cast<long long>(hi) - lo;
-    const long long block = std::max((hosts + count - 1) / count * 8,
-                                     (width + count - 1) / count);
-    const long long n = std::min<long long>(std::max(threads, 1), width);
-    for (long long k = 0; k < n; ++k) {
-      bands.emplace_back(cluster_id, &lists, lo + width * k / n,
-                         lo + width * (k + 1) / n, block);
+  for (auto& [cluster_id, lists] : clusters) {
+    const Banding banded = banding_of(cluster_id);
+    for (long long b = 0; b < banded.n; ++b) {
+      bands.emplace_back(
+          cluster_id, std::move(lists[static_cast<std::size_t>(b)]),
+          b == 0 ? LLONG_MIN : banded.hosts * b / banded.n,
+          b + 1 == banded.n ? LLONG_MAX : banded.hosts * (b + 1) / banded.n);
     }
   }
   util::parallel_for(bands.size(), threads,
@@ -339,7 +375,15 @@ std::vector<Composite> synthesize_composites(
   JED_ASSERT(schedule.tasks().size() <= std::numeric_limits<TaskId>::max());
   std::vector<TaskId> ids(schedule.tasks().size());
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<TaskId>(i);
-  return sweep(schedule.tasks(), ids, include_task, threads);
+  return sweep(schedule, ids, include_task, threads);
+}
+
+std::vector<Composite> synthesize_composites_of(
+    const Schedule& schedule, const std::vector<std::uint32_t>& ids,
+    const std::function<bool(const Task&)>& include_task, int threads) {
+  JED_ASSERT(std::is_sorted(ids.begin(), ids.end()));
+  JED_ASSERT(ids.empty() || ids.back() < schedule.tasks().size());
+  return sweep(schedule, ids, include_task, threads);
 }
 
 std::vector<Composite> append_composites(
@@ -404,7 +448,8 @@ std::vector<Composite> append_composites(
                 [&](std::uint32_t i) { return tasks[i].start_time() < t_cut; });
   std::sort(tail_ids.begin(), tail_ids.end());
   tail_ids.erase(std::unique(tail_ids.begin(), tail_ids.end()), tail_ids.end());
-  std::vector<Composite> tail = sweep(tasks, tail_ids, include_task, threads);
+  std::vector<Composite> tail =
+      sweep(schedule, tail_ids, include_task, threads);
 
   // Both halves are in key order, and within a cluster all head composites
   // begin before all tail ones: merging on (cluster, begin) is exact.
@@ -429,6 +474,14 @@ bool has_resource_conflicts(
   return !synthesize_composites(schedule, include_task).empty();
 }
 
+std::vector<std::pair<std::string, std::string>> composite_properties(
+    const Composite& comp) {
+  const std::vector<std::string> types(comp.member_types.begin(),
+                                       comp.member_types.end());
+  return {{"members", util::join(comp.member_ids, ",")},
+          {"member_types", util::join(types, ",")}};
+}
+
 Schedule with_composites(const Schedule& schedule) {
   Schedule out = schedule;
   auto composites = synthesize_composites(schedule);
@@ -440,10 +493,9 @@ Schedule with_composites(const Schedule& schedule) {
     int& n = seen[t.id()];
     if (n > 0) t.set_id(t.id() + "#" + std::to_string(n));
     ++n;
-    t.set_property("members", util::join(comp.member_ids, ","));
-    std::vector<std::string> types(comp.member_types.begin(),
-                                   comp.member_types.end());
-    t.set_property("member_types", util::join(types, ","));
+    for (auto& [key, value] : composite_properties(comp)) {
+      t.set_property(std::move(key), std::move(value));
+    }
     out.add_task(std::move(t));
   }
   return out;

@@ -14,9 +14,11 @@
 // disjoint host pieces (DESIGN.md §4c), so the cost does not grow with the
 // number of hosts a task spans.
 
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "jedule/model/schedule.hpp"
@@ -48,6 +50,14 @@ std::vector<Composite> synthesize_composites(
     const std::function<bool(const Task&)>& include_task = nullptr,
     int threads = 1);
 
+/// synthesize_composites over only the tasks `ids` (ascending indices into
+/// Schedule::tasks()) — the composites a schedule holding just those tasks
+/// would have, with member_indices still into the whole schedule.
+std::vector<Composite> synthesize_composites_of(
+    const Schedule& schedule, const std::vector<std::uint32_t>& ids,
+    const std::function<bool(const Task&)>& include_task = nullptr,
+    int threads = 1);
+
 /// O(delta) composite maintenance for the live-trace append path:
 /// `cached` must be the synthesize_composites/append_composites result for
 /// the first `first_new` tasks of `schedule` under the *same*
@@ -74,9 +84,14 @@ bool has_resource_conflicts(
     const Schedule& schedule,
     const std::function<bool(const Task&)>& include_task = nullptr);
 
-/// Copy of `schedule` with every composite appended as a task; each carries
-/// properties "members" (comma-joined member ids) and "member_types"
-/// (comma-joined distinct member types) so exports keep the information.
+/// What a composite carries beyond its task, as properties in this order:
+/// "members" (comma-joined member ids) and "member_types" (comma-joined
+/// distinct member types).
+std::vector<std::pair<std::string, std::string>> composite_properties(
+    const Composite& comp);
+
+/// Copy of `schedule` with every composite appended as a task carrying its
+/// composite_properties, so exports keep the information.
 Schedule with_composites(const Schedule& schedule);
 
 }  // namespace jedule::model

@@ -261,6 +261,14 @@ void check_task_times(std::string_view id, Time start, Time end) {
   throw ValidationError(what + "spans " + span + ", whose duration overflows");
 }
 
+void check_schedule_span(Time begin, Time end) {
+  if (std::isfinite(end - begin)) return;
+  char span[64];
+  std::snprintf(span, sizeof(span), "[%g, %g]", begin, end);
+  throw ValidationError(std::string("the tasks span ") + span +
+                        ", whose length overflows");
+}
+
 void Schedule::validate() const {
   if (clusters_.empty()) {
     throw ValidationError("a schedule requires at least one cluster");
@@ -285,6 +293,11 @@ void Schedule::validate() const {
   // map lookup is cached across consecutive configurations.
   int cached_id = 0;
   const Cluster* cached_cluster = nullptr;
+  Time span_lo = 0, span_hi = 0;  // the tasks' time bounds
+  if (!tasks_.empty()) {
+    span_lo = tasks_.front().start_time();
+    span_hi = tasks_.front().end_time();
+  }
   for (std::size_t ti = 0; ti < tasks_.size(); ++ti) {
     const Task& t = tasks_[ti];
     if (t.id().empty()) {
@@ -294,6 +307,8 @@ void Schedule::validate() const {
       throw ValidationError("duplicate task id '" + t.id() + "'");
     }
     check_task_times(t.id(), t.start_time(), t.end_time());
+    span_lo = std::min(span_lo, t.start_time());
+    span_hi = std::max(span_hi, t.end_time());
     if (t.configurations().empty()) {
       throw ValidationError("task '" + t.id() + "' has no configuration");
     }
@@ -362,6 +377,7 @@ void Schedule::validate() const {
       }
     }
   }
+  check_schedule_span(span_lo, span_hi);
   for (const Dependency& d : deps_) {
     if (d.src >= tasks_.size() || d.dst >= tasks_.size()) {
       throw ValidationError("dependency " + std::to_string(d.src) + " -> " +

@@ -206,7 +206,7 @@ class Schedule {
   std::vector<const Task*> tasks_in_cluster(int cluster_id) const;
 
   /// Checks every invariant of DESIGN.md §6 items 1-2 plus time sanity
-  /// (check_task_times) and task-id uniqueness; throws
+  /// (check_task_times, check_schedule_span) and task-id uniqueness; throws
   /// jedule::ValidationError describing the first violation found.
   void validate() const;
 
@@ -226,5 +226,11 @@ bool task_times_ok(Time start, Time end);
 /// task_times_ok(start, end). Every validator (Schedule, ScheduleArena,
 /// event appends) reports time errors through it, so they agree.
 void check_task_times(std::string_view id, Time start, Time end);
+
+/// Throws jedule::ValidationError unless the tasks' overall span, from the
+/// earliest start `begin` to the latest end `end`, has a finite length:
+/// tasks on [-1e308, -1e308] and [1e308, 1e308] are each valid, together
+/// not. Every validator checks it after the per-task times.
+void check_schedule_span(Time begin, Time end);
 
 }  // namespace jedule::model

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <set>
+#include <limits>
 
 #include "jedule/render/kernels.hpp"
 #include "jedule/util/error.hpp"
@@ -116,6 +116,40 @@ void set_box_hosts(TaskBox* box, const PanelLayout& panel, int host_start,
   }
 }
 
+// A panel's device-pixel column grid over its window, shared by the LOD
+// bins and the edge heat lanes: col(t) is the column of time t relative to
+// panel.x, and the columns [lo, hi), each w wide, cover the window.
+struct ColumnGrid {
+  double w = 1.0;
+  long long lo = 0, hi = 0;
+  std::function<double(double)> col;
+};
+
+ColumnGrid column_grid(const PanelLayout& panel,
+                       const std::optional<SnapGrid>& snap) {
+  ColumnGrid g;
+  const TimeRange win = panel.time_range;
+  if (snap) {
+    const SnapGrid s = *snap;
+    g.col = [s](double t) {
+      return (t - s.anchor) * s.cols_per_time -
+             static_cast<double>(s.origin_col);
+    };
+    g.lo = static_cast<long long>(std::floor(g.col(win.begin)));
+    g.hi = static_cast<long long>(std::ceil(g.col(win.end)));
+  } else {
+    const long long cols = std::max<long long>(1, std::llround(panel.w));
+    const double len = win.length();
+    g.w = panel.w / static_cast<double>(cols);
+    g.col = [win, len, cols](double t) {
+      return (t - win.begin) / len * static_cast<double>(cols);
+    };
+    g.hi = cols;
+  }
+  if (g.hi <= g.lo) g.hi = g.lo + 1;
+  return g;
+}
+
 // Collapses one panel into per-pixel-column density bins colored by the
 // dominant task type of each (column x host-row) cell; vertical runs with
 // the same dominant type merge into a single 1-column-wide box. Work and
@@ -125,14 +159,8 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
                   const GanttStyle& style, const LayoutHints& hints) {
   const PanelLayout& panel = layout->panels[panel_index];
   const TimeRange win = panel.time_range;
-  const double len = win.length();
-  if (!(len > 0) || panel.hosts <= 0) return;
+  if (!(win.length() > 0) || panel.hosts <= 0) return;
 
-  const auto type_selected = [&style](const Task& t) {
-    return style.type_filter.empty() ||
-           std::find(style.type_filter.begin(), style.type_filter.end(),
-                     t.type()) != style.type_filter.end();
-  };
   // Entry stream: (begin, end, host span, type) of every visible
   // (configuration x host range) rectangle, via the index when present.
   const auto for_each_entry = [&](const std::function<void(
@@ -143,14 +171,14 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
           panel.cluster_id, win.begin, win.end,
           [&](const model::TaskIndex::Entry& e) {
             const Task& t = schedule.tasks()[e.task];
-            if (!type_selected(t)) return;
+            if (!style.shows_type(t.type())) return;
             fn(e.begin, e.end, e.host_start, e.host_end, &t.type());
           });
       return;
     }
     for (const Task& t : schedule.tasks()) {
       if (t.start_time() > win.end || t.end_time() < win.begin) continue;
-      if (!type_selected(t)) continue;
+      if (!style.shows_type(t.type())) continue;
       for (const auto& cfg : t.configurations()) {
         if (cfg.cluster_id != panel.cluster_id) continue;
         for (const auto& hr : cfg.hosts) {
@@ -161,28 +189,8 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
     }
   };
 
-  // Column mapping, in device-pixel units relative to panel.x.
-  double col_w = 1.0;
-  long long c_lo = 0, c_hi = 0;
-  std::function<double(double)> col_of;
-  if (hints.snap) {
-    const SnapGrid g = *hints.snap;
-    col_of = [g](double t) {
-      return (t - g.anchor) * g.cols_per_time -
-             static_cast<double>(g.origin_col);
-    };
-    c_lo = static_cast<long long>(std::floor(col_of(win.begin)));
-    c_hi = static_cast<long long>(std::ceil(col_of(win.end)));
-  } else {
-    const long long cols = std::max<long long>(1, std::llround(panel.w));
-    col_w = panel.w / static_cast<double>(cols);
-    col_of = [win, len, cols](double t) {
-      return (t - win.begin) / len * static_cast<double>(cols);
-    };
-    c_hi = cols;
-  }
-  if (c_hi <= c_lo) c_hi = c_lo + 1;
-  const std::size_t ncols = static_cast<std::size_t>(c_hi - c_lo);
+  const ColumnGrid grid = column_grid(panel, hints.snap);
+  const std::size_t ncols = static_cast<std::size_t>(grid.hi - grid.lo);
 
   // Host rows: at most one per device pixel, capped so the accumulation
   // grid stays small (bins are 1 column x >=1 row cells).
@@ -213,10 +221,10 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
                          0.0f);
   for_each_entry([&](double b, double e, int h0, int h1,
                      const std::string* ty) {
-    const double u0 = std::max(col_of(std::max(b, win.begin)),
-                               static_cast<double>(c_lo));
-    const double u1 = std::min(col_of(std::min(e, win.end)),
-                               static_cast<double>(c_hi));
+    const double u0 = std::max(grid.col(std::max(b, win.begin)),
+                               static_cast<double>(grid.lo));
+    const double u1 = std::min(grid.col(std::min(e, win.end)),
+                               static_cast<double>(grid.hi));
     if (!(u1 > u0)) return;
     const std::size_t tid = type_id(ty);
     int r0 = static_cast<int>(h0 / hosts_per_row);
@@ -235,7 +243,7 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
         const double hcov = std::min<double>(h1 + 1, rb1) -
                             std::max<double>(h0, rb0);
         if (!(hcov > 0)) continue;
-        cov[(static_cast<std::size_t>(c - c_lo) *
+        cov[(static_cast<std::size_t>(c - grid.lo) *
                  static_cast<std::size_t>(rows) +
              static_cast<std::size_t>(r)) *
                 ntypes +
@@ -255,11 +263,9 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
       box.cluster_id = panel.cluster_id;
       box.lod_bin = true;
       box.style = colormap.style_for(*types[run_type]);
-      const double x =
-          panel.x + static_cast<double>(c_lo + static_cast<long long>(c)) *
-                        col_w;
-      box.x = x;
-      box.w = col_w;
+      box.x = panel.x +
+              static_cast<double>(grid.lo + static_cast<long long>(c)) * grid.w;
+      box.w = grid.w;
       const double y0 = panel.y + panel.h * run_start / rows;
       const double y1 = panel.y + panel.h * r_end / rows;
       if (hints.snap) {
@@ -492,28 +498,9 @@ void layout_edges(GanttLayout* layout, const Schedule& schedule,
 
     if (heat) {
       visible.clear();
-      // Column mapping — the same device-pixel grid as the LOD bins.
-      double col_w = 1.0;
-      long long c_lo = 0, c_hi = 0;
-      std::function<double(double)> col_of;
-      if (hints.snap) {
-        const SnapGrid g = *hints.snap;
-        col_of = [g](double t) {
-          return (t - g.anchor) * g.cols_per_time -
-                 static_cast<double>(g.origin_col);
-        };
-        c_lo = static_cast<long long>(std::floor(col_of(win.begin)));
-        c_hi = static_cast<long long>(std::ceil(col_of(win.end)));
-      } else {
-        const double len = win.length();
-        col_w = panel.w / static_cast<double>(cols_ll);
-        col_of = [win, len, cols_ll](double t) {
-          return (t - win.begin) / len * static_cast<double>(cols_ll);
-        };
-        c_hi = cols_ll;
-      }
-      if (c_hi <= c_lo) c_hi = c_lo + 1;
-      const std::size_t ncols = static_cast<std::size_t>(c_hi - c_lo);
+      // The same device-pixel column grid as the LOD bins.
+      const ColumnGrid grid = column_grid(panel, hints.snap);
+      const std::size_t ncols = static_cast<std::size_t>(grid.hi - grid.lo);
 
       // Accumulate one f32 count per column. The adds are 1.0f each and
       // element-wise, so the lane is bit-exact at any visit order and
@@ -523,17 +510,17 @@ void layout_edges(GanttLayout* layout, const Schedule& schedule,
       std::vector<Entry> crit;  // critical edges still draw as arrows
       for_each_entry([&](const Entry& e) {
         ++layout->edge_stats.considered;
-        const double u0 = std::max(col_of(std::max(e.begin, win.begin)),
-                                   static_cast<double>(c_lo));
-        const double u1 = std::min(col_of(std::min(e.end, win.end)),
-                                   static_cast<double>(c_hi));
+        const double u0 = std::max(grid.col(std::max(e.begin, win.begin)),
+                                   static_cast<double>(grid.lo));
+        const double u1 = std::min(grid.col(std::min(e.end, win.end)),
+                                   static_cast<double>(grid.hi));
         auto b0 = static_cast<long long>(std::floor(u0));
         auto b1 = static_cast<long long>(std::ceil(u1));
         if (b1 <= b0) b1 = b0 + 1;  // instantaneous edge: one column
-        b0 = std::clamp(b0, c_lo, c_hi);
-        b1 = std::clamp(b1, c_lo, c_hi);
+        b0 = std::clamp(b0, grid.lo, grid.hi);
+        b1 = std::clamp(b1, grid.lo, grid.hi);
         if (b1 > b0) {
-          kern.heat_accum(acc.data() + (b0 - c_lo),
+          kern.heat_accum(acc.data() + (b0 - grid.lo),
                           static_cast<std::size_t>(b1 - b0), 1.0f);
         }
         if (on_path(*path, e.src, e.dst)) crit.push_back(e);
@@ -543,8 +530,8 @@ void layout_edges(GanttLayout* layout, const Schedule& schedule,
       if (maxv > 0.0f) {
         EdgeHeatLane lane;
         lane.panel_index = pi;
-        lane.col_w = col_w;
-        lane.x = panel.x + static_cast<double>(c_lo) * col_w;
+        lane.col_w = grid.w;
+        lane.x = panel.x + static_cast<double>(grid.lo) * grid.w;
         lane.h = std::min(6.0, panel.h);
         lane.y = panel.y + panel.h - lane.h;
         lane.levels.resize(ncols);
@@ -610,9 +597,7 @@ GanttLayout layout_gantt(const Schedule& schedule,
   }
 
   const auto type_selected = [&style](const Task& t) {
-    return style.type_filter.empty() ||
-           std::find(style.type_filter.begin(), style.type_filter.end(),
-                     t.type()) != style.type_filter.end();
+    return style.shows_type(t.type());
   };
 
   // Vertical space distribution: panel heights proportional to host counts.
@@ -712,13 +697,49 @@ GanttLayout layout_gantt(const Schedule& schedule,
       std::find(layout.panel_lod.begin(), layout.panel_lod.end(), 0) !=
       layout.panel_lod.end();
 
-  // Tasks (+ composites). With an index and a time window, lay out only
-  // the tasks intersecting the window (closed intersection, a superset of
-  // what paints after clipping — so the boxes match the full layout's).
+  // Boxes of one task: one per (configuration x host range) on every exact
+  // panel of its cluster, clipped to the panel's window.
+  const auto add_boxes = [&](const Task& t, std::size_t index, bool composite,
+                             color::TaskStyle task_style, bool highlighted) {
+    if (highlighted) {
+      task_style.background = style.highlight_bg;
+      task_style.foreground = color::contrast_color(style.highlight_bg);
+    }
+    for (const auto& cfg : t.configurations()) {
+      for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
+        const PanelLayout& panel = layout.panels[pi];
+        if (panel.cluster_id != cfg.cluster_id) continue;
+        if (layout.panel_lod[pi]) continue;  // LOD panels draw bins
+        // Clip to the panel's time window.
+        const double t0 = std::max(t.start_time(), panel.time_range.begin);
+        const double t1 = std::min(t.end_time(), panel.time_range.end);
+        if (t1 <= t0 && !(t.start_time() == t.end_time() &&
+                          t0 == t.start_time())) {
+          continue;
+        }
+        for (const auto& hr : cfg.hosts) {
+          TaskBox box;
+          box.task_index = index;
+          box.cluster_id = cfg.cluster_id;
+          set_box_times(&box, panel, t0, t1, hints.snap);
+          set_box_hosts(&box, panel, hr.start, hr.nb, hints.snap);
+          box.style = task_style;
+          box.label = t.id();
+          box.composite = composite;
+          box.highlighted = highlighted;
+          layout.boxes.push_back(std::move(box));
+        }
+      }
+    }
+  };
+  // Ordinary boxes first, LOD bins next, composites last (paint order ==
+  // z-order). With an index and a time window, lay out only the tasks
+  // intersecting the window (closed intersection, a superset of what
+  // paints after clipping — so the boxes match the full layout's).
   const bool cull = hints.index != nullptr && style.time_window.has_value();
   layout.culled = cull;
+  std::vector<std::uint32_t> visible;
   if (cull) {
-    std::vector<std::uint32_t> visible;
     for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
       if (layout.panel_lod[pi]) continue;  // LOD panels draw bins, not boxes
       const PanelLayout& panel = layout.panels[pi];
@@ -727,38 +748,47 @@ GanttLayout layout_gantt(const Schedule& schedule,
     }
     std::sort(visible.begin(), visible.end());
     visible.erase(std::unique(visible.begin(), visible.end()), visible.end());
-    layout.tasks.reserve(visible.size());
-    for (std::uint32_t idx : visible) {
-      const Task& t = schedule.tasks()[idx];
-      if (type_selected(t)) layout.tasks.push_back(t);
+    std::erase_if(visible, [&](std::uint32_t i) {
+      return !type_selected(schedule.tasks()[i]);
+    });
+  }
+  const auto add_task = [&](std::size_t i) {
+    const Task& t = schedule.tasks()[i];
+    const auto v = style.highlight_key.empty()
+                       ? std::nullopt
+                       : t.property(style.highlight_key);
+    add_boxes(t, i, false, colormap.style_for(t.type()),
+              v == style.highlight_value);
+  };
+  if (cull) {
+    for (const std::uint32_t i : visible) add_task(i);
+  } else if (any_exact_panel) {
+    for (std::size_t i = 0; i < schedule.tasks().size(); ++i) {
+      if (type_selected(schedule.tasks()[i])) add_task(i);
     }
-  } else if (any_exact_panel || layout.panels.empty()) {
-    if (style.type_filter.empty()) {
-      layout.tasks = schedule.tasks();
-    } else {
-      for (const auto& t : schedule.tasks()) {
-        if (type_selected(t)) layout.tasks.push_back(t);
+  }
+  if (!hints.skip_lod_bins) {
+    for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
+      if (layout.panel_lod[pi]) {
+        add_lod_bins(&layout, pi, schedule, colormap, style, hints);
       }
     }
   }
-  layout.composite_begin = layout.tasks.size();
+
   if (style.show_composites && any_exact_panel) {
-    std::vector<model::Composite> composites;
+    using List = SharedComposites::List;
     if (cull) {
       // Composite groups that intersect the window can be split (in time
       // or host ranges) by the events of any task overlapping their
       // members, so synthesize over the tasks intersecting the *extent*
       // of the visible set — the 1-hop closure that makes the culled
       // composites bit-identical to the full layout's inside the window.
-      bool have = false;
-      double lo = 0, hi = 0;
-      for (std::size_t i = 0; i < layout.composite_begin; ++i) {
-        const Task& t = layout.tasks[i];
-        lo = have ? std::min(lo, t.start_time()) : t.start_time();
-        hi = have ? std::max(hi, t.end_time()) : t.end_time();
-        have = true;
-      }
-      if (have) {
+      if (!visible.empty()) {
+        double lo = std::numeric_limits<double>::infinity(), hi = -lo;
+        for (const std::uint32_t i : visible) {
+          lo = std::min(lo, schedule.tasks()[i].start_time());
+          hi = std::max(hi, schedule.tasks()[i].end_time());
+        }
         std::vector<std::uint32_t> closure;
         for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
           if (layout.panel_lod[pi]) continue;
@@ -768,99 +798,33 @@ GanttLayout layout_gantt(const Schedule& schedule,
         std::sort(closure.begin(), closure.end());
         closure.erase(std::unique(closure.begin(), closure.end()),
                       closure.end());
-        Schedule sub;
-        for (const auto& c : schedule.clusters()) sub.add_cluster(c);
-        for (std::uint32_t idx : closure) {
-          const Task& t = schedule.tasks()[idx];
-          if (type_selected(t)) sub.add_task(t);
-        }
-        composites = model::synthesize_composites(sub, nullptr, threads);
+        layout.composites = std::make_shared<const List>(
+            model::synthesize_composites_of(schedule, closure, type_selected,
+                                            threads));
       }
-    } else if (hints.composites != nullptr && style.type_filter.empty()) {
-      // The engine's incrementally-maintained list (append_composites);
-      // copied because the loop below decorates each task with properties.
-      composites = *hints.composites;
+    } else if (hints.composites.list != nullptr &&
+               style.type_filter.empty()) {
+      // The engine's incrementally-maintained list (append_composites).
+      layout.composites = hints.composites.list;
     } else {
-      composites = model::synthesize_composites(schedule, type_selected,
-                                                threads);
-    }
-    for (auto& comp : composites) {
-      // Keep members on the task so click-to-inspect and the colormap's
-      // composite rules can see them.
-      comp.task.set_property("members", util::join(comp.member_ids, ","));
-      std::vector<std::string> types(comp.member_types.begin(),
-                                     comp.member_types.end());
-      comp.task.set_property("member_types", util::join(types, ","));
-      layout.tasks.push_back(std::move(comp.task));
+      layout.composites = std::make_shared<const List>(
+          model::synthesize_composites(schedule, type_selected, threads));
     }
   }
-
-  // Boxes. Ordinary tasks first, composites after (paint order == z-order).
-  auto add_boxes = [&](std::size_t first, std::size_t last, bool composite) {
-    for (std::size_t i = first; i < last; ++i) {
-      const Task& t = layout.tasks[i];
-      color::TaskStyle task_style;
-      if (composite) {
-        // Recover member types for the colormap's composite rules.
-        std::set<std::string> member_types;
-        if (auto types = t.property("member_types")) {
-          for (auto& part : util::split(*types, ',')) {
-            member_types.insert(part);
-          }
-        }
-        task_style = colormap.composite_style(member_types);
-      } else {
-        task_style = colormap.style_for(t.type());
-      }
-
+  if (layout.composites != nullptr) {
+    const auto& composites = *layout.composites;
+    for (std::size_t i = 0; i < composites.size(); ++i) {
+      const model::Composite& comp = composites[i];
       bool highlighted = false;
       if (!style.highlight_key.empty()) {
-        auto v = t.property(style.highlight_key);
-        if (v && *v == style.highlight_value) {
-          highlighted = true;
-          task_style.background = style.highlight_bg;
-          task_style.foreground = color::contrast_color(style.highlight_bg);
+        for (const auto& [k, v] : model::composite_properties(comp)) {
+          highlighted |= k == style.highlight_key && v == style.highlight_value;
         }
       }
-
-      for (const auto& cfg : t.configurations()) {
-        for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
-          const PanelLayout& panel = layout.panels[pi];
-          if (panel.cluster_id != cfg.cluster_id) continue;
-          if (layout.panel_lod[pi]) continue;  // LOD panels draw bins
-          // Clip to the panel's time window.
-          const double t0 =
-              std::max(t.start_time(), panel.time_range.begin);
-          const double t1 = std::min(t.end_time(), panel.time_range.end);
-          if (t1 <= t0 && !(t.start_time() == t.end_time() &&
-                            t0 == t.start_time())) {
-            continue;
-          }
-          for (const auto& hr : cfg.hosts) {
-            TaskBox box;
-            box.task_index = i;
-            box.cluster_id = cfg.cluster_id;
-            set_box_times(&box, panel, t0, t1, hints.snap);
-            set_box_hosts(&box, panel, hr.start, hr.nb, hints.snap);
-            box.style = task_style;
-            box.label = t.id();
-            box.composite = composite;
-            box.highlighted = highlighted;
-            layout.boxes.push_back(std::move(box));
-          }
-        }
-      }
-    }
-  };
-  add_boxes(0, layout.composite_begin, false);
-  if (!hints.skip_lod_bins) {
-    for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
-      if (layout.panel_lod[pi]) {
-        add_lod_bins(&layout, pi, schedule, colormap, style, hints);
-      }
+      add_boxes(comp.task, i, true, colormap.composite_style(comp.member_types),
+                highlighted);
     }
   }
-  add_boxes(layout.composite_begin, layout.tasks.size(), true);
 
   layout_edges(&layout, schedule, style, hints);
 

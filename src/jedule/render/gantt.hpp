@@ -10,8 +10,10 @@
 // backend. hit_test() maps a pixel back to the box it shows (interactive
 // mode's click-to-inspect).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,6 +79,12 @@ struct GanttStyle {
   /// hides its overlaps (the paper's "focus on specific parts of the
   /// schedule by filtering").
   std::vector<std::string> type_filter;
+  /// Whether `type_filter` lets tasks of `type` through.
+  bool shows_type(const std::string& type) const {
+    return type_filter.empty() || std::find(type_filter.begin(),
+                                            type_filter.end(),
+                                            type) != type_filter.end();
+  }
 
   /// When nonempty, tasks whose property `highlight_key` equals
   /// `highlight_value` are filled with `highlight_bg` (paper Fig. 13:
@@ -131,7 +139,9 @@ struct EdgeRenderStats {
 };
 
 struct TaskBox {
-  /// Index into GanttLayout::tasks (kNoTask for LOD density bins).
+  /// Index into Schedule::tasks() for an ordinary box, into
+  /// *GanttLayout::composites for a composite box, kNoTask for an LOD
+  /// density bin.
   std::size_t task_index = 0;
   int cluster_id = 0;
   double x = 0, y = 0, w = 0, h = 0;
@@ -165,9 +175,10 @@ struct GanttLayout {
   std::string header;
   std::vector<PanelLayout> panels;
 
-  /// Schedule tasks (by index) followed by synthesized composites.
-  std::vector<model::Task> tasks;
-  std::size_t composite_begin = 0;  // tasks[composite_begin..) are composites
+  /// The composites the composite boxes index: synthesized by the layout,
+  /// or the list handed in through LayoutHints::composites, shared and
+  /// never copied. Null when no composites were laid out.
+  std::shared_ptr<const std::vector<model::Composite>> composites;
 
   /// Ordinary boxes first, then LOD density bins, composite boxes last
   /// (paint order).
@@ -177,8 +188,8 @@ struct GanttLayout {
   /// LOD density bins instead of exact task rectangles.
   std::vector<std::uint8_t> panel_lod;
 
-  /// True when `tasks` holds only the viewport-culled subset instead of
-  /// the full task list (hints.index + style.time_window).
+  /// True when only the viewport-culled subset of the tasks was laid out
+  /// (hints.index + style.time_window).
   bool culled = false;
 
   /// Dependency rendering (DESIGN.md §4j): clipped arrows, per-panel heat
@@ -203,6 +214,17 @@ struct SnapGrid {
   double anchor = 0;
   double cols_per_time = 1;
   long long origin_col = 0;
+};
+
+/// A composite list a layout shares: co-owned when given as a shared_ptr,
+/// borrowed (it must outlive the layout) when given as a plain pointer.
+struct SharedComposites {
+  using List = std::vector<model::Composite>;
+  SharedComposites(const List* borrowed = nullptr)
+      : list(std::shared_ptr<const void>(), borrowed) {}
+  SharedComposites(std::shared_ptr<const List> owned)
+      : list(std::move(owned)) {}
+  std::shared_ptr<const List> list;
 };
 
 /// Optional accelerators for layout_gantt. With `index` set and a time
@@ -242,7 +264,9 @@ struct LayoutHints {
   /// Consumed only when no type filter is active and the layout is not
   /// viewport-culled — the only cases the precomputed list matches;
   /// otherwise it is ignored and composites are synthesized as usual.
-  const std::vector<model::Composite>* composites = nullptr;
+  /// The layout shares the list (GanttLayout::composites) instead of
+  /// copying it.
+  SharedComposites composites;
 
   std::optional<SnapGrid> snap;
 };

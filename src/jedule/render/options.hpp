@@ -30,10 +30,10 @@ struct RenderOptions {
   /// visible) per panel instead of a brute-force dependency scan.
   const model::EdgeIndex* edge_index = nullptr;
 
-  /// Precomputed unfiltered composite list (must outlive the render); see
-  /// LayoutHints::composites. The engine passes its per-entry cached list
-  /// so repeated/appended renders skip the full overlap sweep.
-  const std::vector<model::Composite>* composites = nullptr;
+  /// Precomputed unfiltered composite list; see LayoutHints::composites.
+  /// The engine passes its per-entry cached list so repeated/appended
+  /// renders skip the full overlap sweep; the layout shares it.
+  std::shared_ptr<const std::vector<model::Composite>> composites;
 
   /// Skip Schedule::validate() inside the layout — set by callers that
   /// validated at ingest (the engine's entries always are).

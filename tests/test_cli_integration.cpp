@@ -87,7 +87,10 @@ TEST(Cli, NonFiniteTimesRejected) {
   for (const auto& [row, what] :
        std::vector<std::pair<std::string, std::string>>{
            {"1,computation,-1e308,1e308,0:0", "overflows"},
-           {"1,computation,0,inf,0:0", "non-finite"}}) {
+           {"1,computation,0,inf,0:0", "non-finite"},
+           {"1,computation,-1e308,-1e308,0:0\n"
+            "2,computation,1e308,1e308,0:1",
+            "overflows"}}) {
     io::write_file(path, "!cluster,0,main,4\ntask_id,type,start,end,allocs\n" +
                              row + "\n");
     for (const std::string command : {"info", "render"}) {

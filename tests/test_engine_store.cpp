@@ -404,8 +404,7 @@ TEST(ScheduleEntry, AppendedEntryMatchesFreshIngestOnEveryExporter) {
         options.style.show_composites = true;
         options.task_index = &entry->index;
         options.assume_validated = true;
-        const auto composites = entry->composites(threads);
-        options.composites = composites.get();
+        options.composites = entry->composites(threads);
         return render::render_to_bytes(entry->schedule(), options, format);
       };
       EXPECT_EQ(render_with(grown), render_with(fresh))

@@ -107,6 +107,41 @@ TEST(Session, InspectFindsTask) {
   EXPECT_NE(info.find("cluster 0 hosts 0-3"), std::string::npos);
 }
 
+// The `inspect` command on a composite box prints the composite's task
+// followed by its members and member types, whichever way the layout got
+// its composites: the full list, a type-filtered one, or a windowed one.
+TEST(Session, InspectCompositeBoxPrintsMembers) {
+  render::GanttStyle style;
+  style.width = 800;
+  style.height = 480;
+  Session s(model::ScheduleBuilder()
+                .cluster(0, "c0", 4)
+                .task("a", "computation", 0.0, 6.0)
+                .on(0, 0, 4)
+                .task("b", "transfer", 2.0, 4.0)
+                .on(0, 1, 2)
+                .build(),
+            color::standard_colormap(), style);
+  const std::string want =
+      "task a+b: type=composite start=2.000 end=4.000 resources=cluster 0 "
+      "hosts 1-2 members=a,b member_types=computation,transfer";
+  for (const std::string setup :
+       {"reset", "types computation,transfer", "window 1 5"}) {
+    s.execute(setup);
+    const render::TaskBox* box = nullptr;
+    for (const auto& b : s.layout().boxes) {
+      if (b.composite) box = &b;
+    }
+    ASSERT_NE(box, nullptr) << setup;
+    const int x = static_cast<int>(box->x + box->w / 2);
+    const int y = static_cast<int>(box->y + box->h / 2);
+    EXPECT_EQ(s.execute("inspect " + std::to_string(x) + " " +
+                        std::to_string(y)),
+              want)
+        << setup;
+  }
+}
+
 TEST(Session, InspectMissReportsCoordinates) {
   Session s = make_session();
   EXPECT_NE(s.inspect(1, 1).find("no task at"), std::string::npos);

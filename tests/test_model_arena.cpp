@@ -244,6 +244,53 @@ TEST(ScheduleArena, NonFiniteTimesRejectedLikeScheduleValidate) {
   }
 }
 
+TEST(ScheduleArena, OverflowingSpanRejectedLikeScheduleValidate) {
+  Schedule s;
+  s.add_cluster(0, "c0", 4);
+  for (int i = 0; i < 9; ++i) {  // enough rows for the SIMD scans
+    Task t("t" + std::to_string(i), "computation", i, i + 1.0);
+    if (i == 2) t.set_times(-1e308, -1e308);
+    if (i == 6) t.set_times(1e308, 1e308);
+    t.allocate(0, i % 4, 1);
+    s.add_task(t);
+  }
+  std::string want;
+  try {
+    s.validate();
+  } catch (const ValidationError& e) {
+    want = e.what();
+  }
+  ASSERT_NE(want.find("overflows"), std::string::npos) << want;
+  const ScheduleArena arena(s);
+  for (const auto& check : {std::function<void()>([&] { arena.validate(); }),
+                            std::function<void()>(
+                                [&] { arena.validate_columns(); })}) {
+    try {
+      check();
+      ADD_FAILURE() << "accepted a span of [-1e308, 1e308]";
+    } catch (const ValidationError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
+  // An append that stretches a valid arena past a finite span.
+  ScheduleArena grown(ScheduleBuilder()
+                          .cluster(0, "c0", 4)
+                          .task("a", "computation", -1e308, -1e308)
+                          .on(0, 0, 1)
+                          .build());
+  grown.validate();
+  ScheduleArena::Event e;
+  e.id = "b";
+  e.type = "computation";
+  e.start = 1e308;
+  e.end = 1e308;
+  EXPECT_THROW(grown.append({e}), ValidationError);
+  EXPECT_EQ(grown.task_count(), 1u);
+  e.start = e.end = 0;
+  grown.append({e});  // a finite span still appends
+  EXPECT_EQ(grown.task_count(), 2u);
+}
+
 TEST(ScheduleArena, AppendMatchesFreshBuild) {
   const Schedule full = random_schedule(400, 21);
   // Base arena over the first 300 tasks.

@@ -137,6 +137,31 @@ TEST(Composite, ClustersNeverMerge) {
   EXPECT_EQ(synthesize_composites(s).size(), 2u);
 }
 
+// Host bands follow the declared cluster size, but an unvalidated schedule
+// may allocate hosts outside it: the outer bands take those, so every
+// thread count still finds the overlap.
+TEST(Composite, HostsOutsideTheDeclaredClusterStillOverlap) {
+  Schedule s;
+  s.add_cluster(0, "c", 4);
+  for (const auto& [id, begin, first, nb] :
+       std::vector<std::tuple<std::string, Time, int, int>>{
+           {"a", 0, 2, 10}, {"b", 1, 6, 8}, {"c", 1, -5, 4}, {"d", 2, -3, 1}}) {
+    Task t(id, "t", begin, 3);
+    t.allocate(0, first, nb);
+    s.add_task(t);
+  }
+  for (int threads : {1, 2, 8}) {
+    const auto composites = synthesize_composites(s, nullptr, threads);
+    ASSERT_EQ(composites.size(), 2u) << threads;
+    EXPECT_EQ(composites[0].task.id(), "a+b");
+    EXPECT_EQ(composites[0].task.configurations()[0].hosts,
+              (std::vector<HostRange>{{6, 6}}));
+    EXPECT_EQ(composites[1].task.id(), "c+d");
+    EXPECT_EQ(composites[1].task.configurations()[0].hosts,
+              (std::vector<HostRange>{{-3, 1}}));
+  }
+}
+
 TEST(Composite, ZeroDurationTasksIgnored) {
   const Schedule s = ScheduleBuilder()
                          .cluster(0, "c", 1)

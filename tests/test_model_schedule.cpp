@@ -228,6 +228,32 @@ TEST(Validate, NonFiniteTimesAndOverflowingDurationsRejected) {
   EXPECT_FALSE(task_times_ok(-1e308, 1e308));
 }
 
+// Each task's duration can be finite while the schedule's span is not:
+// [-1e308, -1e308] and [1e308, 1e308] would give an infinite makespan.
+TEST(Validate, OverflowingSpanAcrossTasksRejected) {
+  for (const double far : {1e308, 1e307}) {
+    Schedule s;
+    s.add_cluster(0, "c", 2);
+    Task lo("0", "t", -far, -far);
+    lo.allocate(0, 0, 1);
+    s.add_task(lo);
+    Task hi("1", "t", far, far);
+    hi.allocate(0, 1, 1);
+    s.add_task(hi);
+    if (far == 1e307) {
+      EXPECT_NO_THROW(s.validate());  // a 2e307 span is finite
+      continue;
+    }
+    try {
+      s.validate();
+      ADD_FAILURE() << "accepted a span of [-1e308, 1e308]";
+    } catch (const ValidationError& e) {
+      EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Validate, ZeroDurationTaskIsLegal) {
   Schedule s;
   s.add_cluster(0, "c", 1);

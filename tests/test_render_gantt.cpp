@@ -114,11 +114,37 @@ TEST(Layout, CompositesAppendedAfterTasks) {
   for (const auto& b : layout.boxes) {
     if (b.composite) {
       found = true;
-      EXPECT_EQ(layout.tasks[b.task_index].type(), "composite");
+      EXPECT_EQ((*layout.composites)[b.task_index].task.type(), "composite");
     }
   }
   EXPECT_TRUE(found);
-  EXPECT_LT(layout.composite_begin, layout.tasks.size());
+  ASSERT_NE(layout.composites, nullptr);
+  EXPECT_FALSE(layout.composites->empty());
+}
+
+// A composite is colored by its members' types as they are, even when a
+// type name holds a comma (a Jedule XML type may).
+TEST(Layout, CompositeColorUsesMemberTypesVerbatim) {
+  const Schedule s = ScheduleBuilder()
+                         .cluster(0, "c0", 4)
+                         .task("1", "send,recv", 0, 4)
+                         .on(0, 0, 4)
+                         .task("2", "computation", 1, 3)
+                         .on(0, 1, 2)
+                         .build();
+  const auto colormap = color::standard_colormap();
+  const auto layout = layout_gantt(s, colormap, default_style());
+  const TaskBox* box = nullptr;
+  for (const auto& b : layout.boxes) {
+    if (b.composite) box = &b;
+  }
+  ASSERT_NE(box, nullptr);
+  const auto want =
+      colormap.composite_style({"computation", "send,recv"}).background;
+  EXPECT_EQ(box->style.background, want);
+  EXPECT_NE(colormap.composite_style({"computation", "recv", "send"})
+                .background,
+            want);  // what splitting the name at its comma would give
 }
 
 TEST(Layout, ShowCompositesOffSkipsSynthesis) {
@@ -126,7 +152,7 @@ TEST(Layout, ShowCompositesOffSkipsSynthesis) {
   style.show_composites = false;
   const auto layout =
       layout_gantt(demo_schedule(), color::standard_colormap(), style);
-  EXPECT_EQ(layout.composite_begin, layout.tasks.size());
+  EXPECT_EQ(layout.composites, nullptr);
 }
 
 TEST(Layout, TimeWindowClipsBoxes) {

@@ -35,10 +35,13 @@ TEST(TypeFilter, LayoutShowsOnlySelectedTypes) {
   const auto layout = layout_gantt(mixed_schedule(),
                                    color::standard_colormap(),
                                    style_with_types({"computation"}));
+  const model::Schedule schedule = mixed_schedule();
   for (const auto& box : layout.boxes) {
-    EXPECT_EQ(layout.tasks[box.task_index].type(), "computation");
+    EXPECT_FALSE(box.composite);
+    EXPECT_EQ(schedule.tasks()[box.task_index].type(), "computation");
   }
-  EXPECT_EQ(layout.composite_begin, layout.tasks.size());  // no overlaps left
+  ASSERT_NE(layout.composites, nullptr);
+  EXPECT_TRUE(layout.composites->empty());  // no overlaps left
 }
 
 TEST(TypeFilter, CompositesComeFromFilteredTasksOnly) {
@@ -47,12 +50,14 @@ TEST(TypeFilter, CompositesComeFromFilteredTasksOnly) {
   const auto both = layout_gantt(mixed_schedule(),
                                  color::standard_colormap(),
                                  style_with_types({"computation", "transfer"}));
-  EXPECT_LT(both.composite_begin, both.tasks.size());
+  ASSERT_NE(both.composites, nullptr);
+  EXPECT_FALSE(both.composites->empty());
 
   const auto one = layout_gantt(mixed_schedule(),
                                 color::standard_colormap(),
                                 style_with_types({"computation", "io"}));
-  EXPECT_EQ(one.composite_begin, one.tasks.size());
+  ASSERT_NE(one.composites, nullptr);
+  EXPECT_TRUE(one.composites->empty());
 }
 
 TEST(TypeFilter, EmptyFilterShowsEverything) {

@@ -94,7 +94,10 @@ TEST(ViewportCulling, CulledLayoutIsSmallerAndMarked) {
       render::layout_gantt(s, color::standard_colormap(), style, 1, {});
   EXPECT_TRUE(culled.culled);
   EXPECT_FALSE(full.culled);
-  EXPECT_LT(culled.tasks.size(), full.tasks.size());
+  // The culled layout synthesizes composites over the window's tasks only.
+  ASSERT_NE(culled.composites, nullptr);
+  ASSERT_NE(full.composites, nullptr);
+  EXPECT_LT(culled.composites->size(), full.composites->size());
 }
 
 TEST(Lod, DefaultModeStaysOffOnTheExportPath) {
@@ -264,8 +267,10 @@ TEST(InspectIndexed, MatchesHitTestOnTheFullLayout) {
         EXPECT_EQ(got.rfind("no task at", 0), 0u) << "(" << x << "," << y << ")";
       } else {
         ++hits;
-        const std::string want =
-            "task " + full.tasks[box->task_index].id() + ":";
+        const model::Task& task =
+            box->composite ? (*full.composites)[box->task_index].task
+                           : schedule.tasks()[box->task_index];
+        const std::string want = "task " + task.id() + ":";
         EXPECT_EQ(got.rfind(want, 0), 0u)
             << "(" << x << "," << y << ") got: " << got;
       }
