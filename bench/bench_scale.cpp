@@ -22,6 +22,7 @@
 #include "jedule/io/ingest.hpp"
 #include "jedule/io/jedule_xml.hpp"
 #include "jedule/io/snapshot.hpp"
+#include "jedule/model/arena.hpp"
 #include "jedule/model/builder.hpp"
 #include "jedule/model/composite.hpp"
 #include "jedule/model/edge_index.hpp"
@@ -645,6 +646,35 @@ bool same_composites(const std::vector<model::Composite>& a,
   return true;
 }
 
+bool same_task_tables(const model::Schedule& a, const model::Schedule& b) {
+  if (a.clusters() != b.clusters() || a.meta() != b.meta() ||
+      a.dependencies() != b.dependencies() ||
+      a.tasks().size() != b.tasks().size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.tasks().size(); ++i) {
+    const model::Task& x = a.tasks()[i];
+    const model::Task& y = b.tasks()[i];
+    if (x.id() != y.id() || &x.type() != &y.type() ||
+        x.start_time() != y.start_time() || x.end_time() != y.end_time() ||
+        x.configurations() != y.configurations() ||
+        x.properties() != y.properties()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The error text of validate(threads), or "" when it accepts.
+std::string validate_error(const model::Schedule& s, int threads) {
+  try {
+    s.validate(threads);
+  } catch (const ValidationError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 // ---------------------------------------------------------------------------
 // Interactive frames. The legacy path is what every view change cost before
 // the spatial index / tile cache: a full layout of all tasks plus a full
@@ -824,14 +854,14 @@ void report() {
   const auto composites = model::synthesize_composites(schedule);
   const double composite_serial = watch.seconds();
   report_row("composite sweep (1 thread)",
-             fmt(composite_serial, 2) + " s (" +
+             fmt(composite_serial * 1e3, 1) + " ms (" +
                  std::to_string(composites.size()) + " overlaps)");
   watch.reset();
   const auto composites_mt =
       model::synthesize_composites(schedule, nullptr, kBenchThreads);
   const double composite_parallel = watch.seconds();
   report_row("composite sweep (" + std::to_string(kBenchThreads) + " threads)",
-             fmt(composite_parallel, 2) + " s (" +
+             fmt(composite_parallel * 1e3, 1) + " ms (" +
                  fmt(composite_serial / composite_parallel, 1) + "x)");
   report_check("parallel composite sweep matches serial",
                same_composites(composites_mt, composites));
@@ -852,6 +882,47 @@ void report() {
     }
     report_check("1M-task composite sweep, widths <= 64 within 2x of width 1",
                  width_ms[1] <= 2 * width_ms[0]);
+  }
+
+  // Building and checking the 1M-task table: the serial validate walk vs
+  // the parallel checking pass, and materializing the table from the
+  // columnar arena on 1 vs kBenchThreads workers. Same verdicts, same
+  // error text and the same table at either count.
+  {
+    const auto& wide = wide_schedule(1000000, 64);
+    const std::string threads = std::to_string(kBenchThreads);
+    watch.reset();
+    const std::string serial_verdict = validate_error(wide, 1);
+    const double validate_1t = watch.seconds() * 1e3;
+    report_row("1M-task validate (1 thread)", fmt(validate_1t, 1) + " ms");
+    watch.reset();
+    const std::string parallel_verdict = validate_error(wide, kBenchThreads);
+    const double validate_mt = watch.seconds() * 1e3;
+    report_row("1M-task validate (" + threads + " threads)",
+               fmt(validate_mt, 1) + " ms (" +
+                   fmt(validate_1t / validate_mt, 1) + "x)");
+    model::Schedule broken = wide;
+    broken.mutable_tasks()[900000].set_id(broken.tasks()[100].id());
+    report_check("parallel validate agrees with the serial walk",
+                 serial_verdict.empty() && parallel_verdict.empty() &&
+                     validate_error(broken, kBenchThreads) ==
+                         validate_error(broken, 1));
+
+    const model::ScheduleArena arena(wide);
+    watch.reset();
+    const model::Schedule table_1t = arena.to_schedule(1);
+    const double materialize_1t = watch.seconds() * 1e3;
+    report_row("1M-task to_schedule (1 thread)",
+               fmt(materialize_1t, 1) + " ms");
+    watch.reset();
+    const model::Schedule table_mt = arena.to_schedule(kBenchThreads);
+    const double materialize_mt = watch.seconds() * 1e3;
+    report_row("1M-task to_schedule (" + threads + " threads)",
+               fmt(materialize_mt, 1) + " ms (" +
+                   fmt(materialize_1t / materialize_mt, 1) + "x)");
+    report_check("parallel to_schedule matches serial",
+                 same_task_tables(table_mt, table_1t) &&
+                     same_task_tables(table_1t, wide));
   }
 
   watch.reset();

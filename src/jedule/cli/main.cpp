@@ -517,6 +517,7 @@ int cmd_profile(const Args& args) {
   if (!out) throw ArgumentError("profile: --out FILE is required");
   const auto schedule = load_schedule_from_args(args, args.positional()[1]);
   render::ProfileStyle style;
+  style.assume_validated = true;  // load_schedule returns it validated
   if (auto w = args.value("width")) {
     auto v = util::parse_int(*w);
     if (!v || *v <= 0) throw ArgumentError("bad --width");

@@ -129,6 +129,10 @@ std::size_t ScheduleEntry::cluster_count() const {
 
 const model::Schedule& ScheduleEntry::schedule_locked() const {
   if (!schedule_) {
+    // Built on this thread only: to_schedule(threads) would allocate each
+    // worker's share of the per-task heap blocks in that worker's malloc
+    // arena, and with entries built and evicted all the time a serving
+    // process then held about 110 MB more at peak (500k-task entries).
     schedule_ =
         std::make_shared<const model::Schedule>(arena_->to_schedule());
     aos_bytes_ = estimate_schedule_bytes(*schedule_);

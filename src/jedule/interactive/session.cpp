@@ -349,6 +349,7 @@ std::string Session::execute(const std::string& command) {
     ao.cluster_filter = style.cluster_filter;
     ao.type_filter = style.type_filter;
     ao.view_mode = style.view_mode;
+    ao.assume_validated = true;  // entries validate at ingest
     return render::render_ascii(schedule(), ao);
   }
   if (op == "reread") {

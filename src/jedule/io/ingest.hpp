@@ -11,10 +11,12 @@
 //     producer thread inflates into a pre-sized buffer and publishes a
 //     growing prefix, so scanning/parsing overlap with decompression,
 //   * ChunkExecutor — an order-aware worker pool with deterministic
-//     (lowest-submission-index) error selection,
+//     (lowest-submission-index) error selection, and merge_chunks, the
+//     parallel in-order concatenation of its outputs,
 //   * IngestOptions / IngestStats / per-format counters — the knobs and
 //     the observability surface (serve /stats, CLI --ingest-stats).
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "jedule/model/schedule.hpp"
+#include "jedule/util/parallel.hpp"
 
 namespace jedule::io {
 
@@ -191,6 +194,38 @@ struct TypeInternCache {
     return pooled;
   }
 };
+
+/// In-order merge of the chunk outputs; `items(chunk)` returns the
+/// chunk's std::vector<T>&. The result is sized once, then each chunk
+/// moves into its own slice (and frees its storage) on a worker, so the
+/// result equals appending the chunks one after another, at any thread
+/// count.
+template <typename T, typename Chunks, typename Items>
+std::vector<T> merge_chunks(Chunks& chunks, Items items, int threads) {
+  std::vector<std::vector<T>*> parts;
+  std::vector<std::size_t> offsets;
+  std::size_t total = 0;
+  for (auto& chunk : chunks) {
+    std::vector<T>& part = items(chunk);
+    parts.push_back(&part);
+    offsets.push_back(total);
+    total += part.size();
+  }
+  std::vector<T> out(total);
+  util::parallel_for(parts.size(), threads, [&](std::size_t i) {
+    std::move(parts[i]->begin(), parts[i]->end(),
+              out.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
+    std::vector<T>().swap(*parts[i]);
+  });
+  return out;
+}
+
+/// merge_chunks over chunks that are the item vectors themselves.
+template <typename T>
+std::vector<T> merge_chunks(std::deque<std::vector<T>>& chunks, int threads) {
+  return merge_chunks<T>(
+      chunks, [](std::vector<T>& v) -> std::vector<T>& { return v; }, threads);
+}
 
 /// Order-aware chunk executor. submit() hands jobs to `threads` workers
 /// (or runs them inline when threads <= 1) while the caller keeps

@@ -754,16 +754,16 @@ model::Schedule read_schedule_xml_chunked(TextSource& src,
 
     // In-order merge: batches were submitted in document order and each
     // holds its records in document order, so this reproduces the serial
-    // add_task sequence exactly.
-    for (auto& tasks : outputs) {
-      for (auto& t : tasks) schedule.add_task(std::move(t));
-    }
+    // add_task sequence exactly. The skeleton's only <node_infos> lost its
+    // records, so it holds no tasks of its own.
+    JED_ASSERT(schedule.tasks().empty());
+    schedule.mutable_tasks() = merge_chunks(outputs, threads);
     resolve_deps(schedule, pending);
     if (stats != nullptr) {
       stats->chunks = outputs.size();
       stats->parallel = true;
     }
-    schedule.validate();
+    schedule.validate(threads);
     return schedule;
   } catch (const ParseError&) {
     // The serial reader is the spec: re-run it to produce the exact

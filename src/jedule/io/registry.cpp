@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <utility>
 
 #include "jedule/io/csv.hpp"
@@ -76,13 +77,31 @@ class SnapshotParser final : public ScheduleParser {
   }
 
   model::Schedule parse(std::string_view content) const override {
-    // The columns borrow from `content`; copy it into a keep-alive owner.
-    auto owner = std::make_shared<std::string>(content);
-    Snapshot snap = parse_snapshot(
-        reinterpret_cast<const std::uint8_t*>(owner->data()), owner->size(),
-        owner, 0);
-    model::Schedule schedule = snap.arena.to_schedule();
-    schedule.validate();
+    return materialize(content, 1);
+  }
+
+  model::Schedule parse_chunked(TextSource& src, const IngestOptions& opt,
+                                IngestStats* stats) const override {
+    (void)stats;
+    return materialize(src.all(), opt.threads);
+  }
+
+ private:
+  // The arena's columns borrow from `content`, which outlives the call, and
+  // the snapshot dies before it returns: no keep-alive owner is needed. The
+  // columns are read in place, so input that does not start on an 8-byte
+  // boundary (the sections' alignment) is copied first.
+  static model::Schedule materialize(std::string_view content, int threads) {
+    std::string aligned;
+    if (reinterpret_cast<std::uintptr_t>(content.data()) % 8 != 0) {
+      aligned.assign(content);
+      content = aligned;
+    }
+    const Snapshot snap = parse_snapshot(
+        reinterpret_cast<const std::uint8_t*>(content.data()), content.size(),
+        nullptr, 0);
+    model::Schedule schedule = snap.arena.to_schedule(threads);
+    schedule.validate(threads);
     return schedule;
   }
 };

@@ -173,12 +173,7 @@ SwfTrace read_swf_chunked(TextSource& src, const IngestOptions& opt,
     }
     exec.finish();
 
-    std::size_t total = 0;
-    for (const auto& o : outputs) total += o.size();
-    trace.jobs.reserve(total);
-    for (const auto& o : outputs) {
-      trace.jobs.insert(trace.jobs.end(), o.begin(), o.end());
-    }
+    trace.jobs = merge_chunks(outputs, threads);
     if (stats != nullptr) {
       stats->chunks = outputs.size();
       stats->parallel = true;

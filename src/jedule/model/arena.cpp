@@ -9,6 +9,7 @@
 
 #include "jedule/model/fnv.hpp"
 #include "jedule/util/error.hpp"
+#include "jedule/util/parallel.hpp"
 
 namespace jedule::model {
 
@@ -734,7 +735,7 @@ void ScheduleArena::validate_columns() const {
 // ---------------------------------------------------------------------------
 // Materialization
 
-Schedule ScheduleArena::to_schedule() const {
+Schedule ScheduleArena::to_schedule(int threads) const {
   Schedule out;
   for (const auto& c : clusters_) out.add_cluster(c);
   for (const auto& [k, v] : meta_) out.set_meta(k, v);
@@ -746,36 +747,43 @@ Schedule ScheduleArena::to_schedule() const {
   for (const auto& t : types_) interned.push_back(detail::intern_task_type(t));
 
   const std::size_t n = task_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    Task t;
-    t.set_id(std::string(task_id(i)));
-    t.set_interned_type(interned[type_id_[i]]);
-    t.set_times(start_[i], end_[i]);
-    for (std::size_t c = cfg_off_[i]; c < cfg_off_[i + 1]; ++c) {
-      Configuration cfg;
-      cfg.cluster_id = cfg_cluster_[c];
-      cfg.hosts.assign(ranges_.data() + range_off_[c],
-                       ranges_.data() + range_off_[c + 1]);
-      t.add_configuration(std::move(cfg));
-    }
-    for (std::size_t p = prop_off_[i]; p < prop_off_[i + 1]; ++p) {
-      const char* pool = prop_pool_.data();
-      t.set_property(
-          std::string(pool + prop_slices_[4 * p],
-                      static_cast<std::size_t>(prop_slices_[4 * p + 1])),
-          std::string(pool + prop_slices_[4 * p + 2],
-                      static_cast<std::size_t>(prop_slices_[4 * p + 3])));
-    }
-    out.add_task(std::move(t));
-  }
-  if (!dep_off_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
+  std::vector<Task> tasks(n);
+  // The edge columns are CSR over destination tasks (dep_off_[0] == 0), so
+  // edge k of the serial order lands in slot k.
+  std::vector<Dependency> deps(dep_off_.empty() ? 0 : dep_off_[n]);
+  constexpr std::size_t kPiece = 1u << 13;
+  util::parallel_for((n + kPiece - 1) / kPiece, threads, [&](std::size_t p) {
+    const std::size_t lo = p * kPiece;
+    const std::size_t hi = std::min(n, lo + kPiece);
+    for (std::size_t i = lo; i < hi; ++i) {
+      Task& t = tasks[i];
+      t.set_id(std::string(task_id(i)));
+      t.set_interned_type(interned[type_id_[i]]);
+      t.set_times(start_[i], end_[i]);
+      for (std::size_t c = cfg_off_[i]; c < cfg_off_[i + 1]; ++c) {
+        Configuration cfg;
+        cfg.cluster_id = cfg_cluster_[c];
+        cfg.hosts.assign(ranges_.data() + range_off_[c],
+                         ranges_.data() + range_off_[c + 1]);
+        t.add_configuration(std::move(cfg));
+      }
+      for (std::size_t q = prop_off_[i]; q < prop_off_[i + 1]; ++q) {
+        const char* pool = prop_pool_.data();
+        t.set_property(
+            std::string(pool + prop_slices_[4 * q],
+                        static_cast<std::size_t>(prop_slices_[4 * q + 1])),
+            std::string(pool + prop_slices_[4 * q + 2],
+                        static_cast<std::size_t>(prop_slices_[4 * q + 3])));
+      }
+      if (dep_off_.empty()) continue;
       for (std::uint64_t k = dep_off_[i]; k < dep_off_[i + 1]; ++k) {
-        out.add_dependency(dep_src_[k], static_cast<std::uint32_t>(i),
-                           dep_data_[k]);
+        deps[k] = Dependency{dep_src_[k], static_cast<std::uint32_t>(i),
+                             dep_data_[k]};
       }
     }
-  }
+  });
+  out.mutable_tasks() = std::move(tasks);
+  out.mutable_dependencies() = std::move(deps);
   return out;
 }
 

@@ -265,8 +265,10 @@ class ScheduleArena {
   /// cheaper than validate() on large arenas.
   void validate_columns() const;
 
-  /// Materializes the AoS schedule (snapshot load / render path).
-  Schedule to_schedule() const;
+  /// Materializes the AoS schedule (snapshot load / render path). The task
+  /// table is sized once and filled in index-ordered pieces on up to
+  /// `threads` workers; the result is the same at any thread count.
+  Schedule to_schedule(int threads = 1) const;
 
   /// Appends `events` as new tasks: validates them (duplicate ids via the
   /// persistent id table, host bounds, time sanity) without touching the

@@ -1,15 +1,19 @@
 #include "jedule/model/schedule.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_set>
 
 #include "jedule/util/error.hpp"
+#include "jedule/util/parallel.hpp"
 
 namespace jedule::model {
 
@@ -269,7 +273,137 @@ void check_schedule_span(Time begin, Time end) {
                         ", whose length overflows");
 }
 
-void Schedule::validate() const {
+void Schedule::validate(int threads) const {
+  if (threads > 1 && tasks_.size() >= kParallelValidateMinTasks &&
+      confirm_valid(threads)) {
+    return;
+  }
+  validate_serial();
+}
+
+namespace {
+
+// True iff the ranges of one configuration list no host twice. The ranges
+// are already known to be non-empty; sorted by start, two of them overlap
+// exactly when some range starts before its predecessor ends.
+bool ranges_disjoint(const std::vector<HostRange>& hosts) {
+  std::vector<HostRange> sorted(hosts);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const HostRange& a, const HostRange& b) {
+              return a.start < b.start;
+            });
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i].start < sorted[i - 1].start + sorted[i - 1].nb) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool Schedule::confirm_valid(int threads) const {
+  // Answers only "does the serial walk accept this schedule?": every check
+  // of validate_serial, without its messages and in no particular order.
+  const std::size_t n = tasks_.size();
+  if (clusters_.empty() || n >= std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  // Lock-free duplicate-id table: open addressing over 32-bit slots that
+  // hold task index + 1 (0 is empty), claimed by compare-and-swap.
+  const std::size_t cap = std::bit_ceil(n * 2 + 16);
+  const std::unique_ptr<std::uint32_t[]> slots(new std::uint32_t[cap]);
+  constexpr std::size_t kFillSlots = 1u << 18;
+  util::parallel_for((cap + kFillSlots - 1) / kFillSlots, threads,
+                     [&](std::size_t p) {
+                       const std::size_t lo = p * kFillSlots;
+                       const std::size_t hi = std::min(cap, lo + kFillSlots);
+                       std::fill(slots.get() + lo, slots.get() + hi, 0u);
+                     });
+  const auto claim_id = [&](std::size_t index) {
+    const std::string_view id = tasks_[index].id();
+    const auto mine = static_cast<std::uint32_t>(index + 1);
+    std::size_t h = std::hash<std::string_view>{}(id) & (cap - 1);
+    while (true) {
+      std::atomic_ref<std::uint32_t> slot(slots[h]);
+      std::uint32_t held = slot.load(std::memory_order_acquire);
+      if (held == 0 &&
+          slot.compare_exchange_strong(held, mine, std::memory_order_acq_rel)) {
+        return true;
+      }
+      if (tasks_[held - 1].id() == id) return false;  // duplicate
+      h = (h + 1) & (cap - 1);
+    }
+  };
+  const auto task_ok = [&](const Task& t, int& cached_id,
+                           const Cluster*& cached_cluster) {
+    if (t.id().empty() || !task_times_ok(t.start_time(), t.end_time()) ||
+        t.configurations().empty()) {
+      return false;
+    }
+    for (const auto& cfg : t.configurations()) {
+      if (cached_cluster == nullptr || cfg.cluster_id != cached_id) {
+        const auto it = cluster_index_.find(cfg.cluster_id);
+        if (it == cluster_index_.end()) return false;
+        cached_id = cfg.cluster_id;
+        cached_cluster = &clusters_[it->second];
+      }
+      if (cfg.hosts.empty()) return false;
+      for (const auto& range : cfg.hosts) {
+        if (range.nb <= 0 || range.start < 0 ||
+            range.start + range.nb > cached_cluster->hosts) {
+          return false;
+        }
+      }
+      if (cfg.hosts.size() > 1 && !ranges_disjoint(cfg.hosts)) return false;
+    }
+    return true;
+  };
+
+  constexpr std::size_t kDepChunk = 1u << 16;
+  const std::size_t task_pieces =
+      (n + kValidateChunkTasks - 1) / kValidateChunkTasks;
+  const std::size_t dep_pieces = (deps_.size() + kDepChunk - 1) / kDepChunk;
+  std::vector<TimeRange> bounds(task_pieces);
+  std::atomic<bool> bad{false};
+  util::parallel_for(task_pieces + dep_pieces, threads, [&](std::size_t p) {
+    if (bad.load(std::memory_order_relaxed)) return;
+    if (p >= task_pieces) {
+      const std::size_t lo = (p - task_pieces) * kDepChunk;
+      const std::size_t hi = std::min(deps_.size(), lo + kDepChunk);
+      for (std::size_t k = lo; k < hi; ++k) {
+        const Dependency& d = deps_[k];
+        if (d.dst >= n || d.src >= d.dst || !(d.data >= 0)) {
+          bad.store(true, std::memory_order_relaxed);
+          return;
+        }
+      }
+      return;
+    }
+    const std::size_t lo = p * kValidateChunkTasks;
+    const std::size_t hi = std::min(n, lo + kValidateChunkTasks);
+    int cached_id = 0;
+    const Cluster* cached_cluster = nullptr;
+    TimeRange span{tasks_[lo].start_time(), tasks_[lo].end_time()};
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Task& t = tasks_[i];
+      if (!task_ok(t, cached_id, cached_cluster) || !claim_id(i)) {
+        bad.store(true, std::memory_order_relaxed);
+        return;
+      }
+      span.begin = std::min(span.begin, t.start_time());
+      span.end = std::max(span.end, t.end_time());
+    }
+    bounds[p] = span;
+  });
+  if (bad.load()) return false;
+  TimeRange span = bounds.front();
+  for (const TimeRange& b : bounds) {
+    span.begin = std::min(span.begin, b.begin);
+    span.end = std::max(span.end, b.end);
+  }
+  return std::isfinite(span.end - span.begin);
+}
+
+void Schedule::validate_serial() const {
   if (clusters_.empty()) {
     throw ValidationError("a schedule requires at least one cluster");
   }

@@ -208,9 +208,21 @@ class Schedule {
   /// Checks every invariant of DESIGN.md §6 items 1-2 plus time sanity
   /// (check_task_times, check_schedule_span) and task-id uniqueness; throws
   /// jedule::ValidationError describing the first violation found.
-  void validate() const;
+  ///
+  /// With threads > 1 and at least kParallelValidateMinTasks tasks, a
+  /// parallel pass over pieces of kValidateChunkTasks tasks first confirms
+  /// the schedule is valid. Only if that pass sees a violation does the
+  /// serial walk run; the walk is the spec and throws the same first error
+  /// at any thread count.
+  void validate(int threads = 1) const;
+
+  static constexpr std::size_t kParallelValidateMinTasks = 1u << 16;
+  static constexpr std::size_t kValidateChunkTasks = 1u << 13;
 
  private:
+  void validate_serial() const;
+  bool confirm_valid(int threads) const;
+
   std::vector<Cluster> clusters_;
   std::map<int, std::size_t> cluster_index_;
   std::vector<Task> tasks_;

@@ -32,6 +32,9 @@ struct AsciiOptions {
   bool show_legend = true;
 
   model::ViewMode view_mode = model::ViewMode::kScaled;
+
+  /// Skip Schedule::validate() (the caller validated once already).
+  bool assume_validated = false;
 };
 
 /// Renders the schedule as text. Cells: '.' idle, a type letter where one

@@ -111,6 +111,7 @@ class AsciiExporter final : public Exporter {
     ascii.cluster_filter = options.style.cluster_filter;
     ascii.type_filter = options.style.type_filter;
     ascii.view_mode = options.style.view_mode;
+    ascii.assume_validated = options.assume_validated;
     return render_ascii(schedule, ascii);
   }
 };

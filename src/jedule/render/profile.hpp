@@ -28,6 +28,9 @@ struct ProfileStyle {
 
   /// Fill color of the busy area.
   color::Color fill{70, 130, 200, 255};
+
+  /// Skip Schedule::validate() (the caller validated once already).
+  bool assume_validated = false;
 };
 
 /// Paints the profile chart onto any canvas backend.

@@ -23,23 +23,24 @@ class SwfScheduleParser final : public io::ScheduleParser {
   }
 
   model::Schedule parse(std::string_view content) const override {
-    return from_trace(io::read_swf(content));
+    return from_trace(io::read_swf(content), 1);
   }
 
   // Chunked ingest: the trace lines parse in parallel (io::read_swf_chunked,
-  // identical to read_swf at any thread count); the trace-to-schedule
-  // packing stays serial — its host placement is an inherently sequential
-  // sweep over jobs in submit order.
+  // identical to read_swf at any thread count) and the schedule validates
+  // in parallel; the trace-to-schedule packing stays serial — its host
+  // placement is an inherently sequential sweep over jobs in submit order.
   model::Schedule parse_chunked(io::TextSource& src,
                                 const io::IngestOptions& opt,
                                 io::IngestStats* stats) const override {
-    return from_trace(io::read_swf_chunked(src, opt, stats));
+    return from_trace(io::read_swf_chunked(src, opt, stats), opt.threads);
   }
 
  private:
-  static model::Schedule from_trace(const io::SwfTrace& trace) {
+  static model::Schedule from_trace(const io::SwfTrace& trace, int threads) {
     TraceScheduleOptions options;
     options.cluster_name = "trace";
+    options.threads = threads;
     auto it = trace.header.find("Reserved");
     if (it != trace.header.end()) {
       if (auto v = util::parse_int(it->second); v && *v >= 0) {

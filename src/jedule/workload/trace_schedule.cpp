@@ -143,7 +143,7 @@ TraceScheduleResult trace_to_schedule(const io::SwfTrace& trace,
 
   result.schedule.set_meta("source", "swf");
   result.schedule.set_meta("jobs", std::to_string(jobs.size()));
-  result.schedule.validate();
+  result.schedule.validate(options.threads);
   return result;
 }
 

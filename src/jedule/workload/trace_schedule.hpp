@@ -35,6 +35,10 @@ struct TraceScheduleOptions {
 
   /// Prefer a contiguous node range; fall back to scattered free nodes.
   bool prefer_contiguous = true;
+
+  /// Worker threads for the final Schedule::validate (the placement replay
+  /// itself is serial). The result does not depend on it.
+  int threads = 1;
 };
 
 struct TraceScheduleResult {

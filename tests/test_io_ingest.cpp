@@ -139,6 +139,88 @@ TEST(IngestDifferential, SwfMatchesSerialAtEveryThreadCount) {
   }
 }
 
+// Above model::Schedule::kParallelValidateMinTasks, so a chunked read runs
+// the parallel merge and the parallel validate pass, not only the parse.
+const int kAboveValidate =
+    static_cast<int>(model::Schedule::kParallelValidateMinTasks) + 4321;
+
+// Chunks big enough that an input of kAboveValidate tasks makes tens of
+// them, not tens of thousands.
+IngestOptions wide(int threads) {
+  IngestOptions opt;
+  opt.threads = threads;
+  opt.min_parallel_bytes = 1;
+  opt.target_chunk_bytes = 1u << 16;
+  return opt;
+}
+
+// `schedule` through the registry's named parser at `threads` (1 = the
+// serial reader), printed as Jedule XML, or the error text it throws.
+std::string read_or_error(const std::string& text, const std::string& format,
+                          int threads) {
+  workload::register_swf_parser();  // idempotent
+  try {
+    IngestStats stats;
+    const auto s = parse_schedule(text, "", format, wide(threads), &stats);
+    EXPECT_EQ(stats.parallel, threads > 1) << format << " threads=" << threads;
+    return write_schedule_xml(s);
+  } catch (const Error& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+// Replaces the first occurrence of `from` (which must occur) with `to`.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(IngestDifferential, AboveTheValidateThresholdMatchesSerial) {
+  const std::pair<std::string, std::string> inputs[] = {
+      {"jedule-xml", big_xml(kAboveValidate)},
+      {"csv", big_csv(kAboveValidate)},
+      {"swf", big_swf(kAboveValidate)},
+  };
+  for (const auto& [format, text] : inputs) {
+    const std::string serial = read_or_error(text, format, 1);
+    EXPECT_EQ(serial.rfind("error: ", 0), std::string::npos) << serial;
+    for (int t : {2, 8}) {
+      EXPECT_EQ(read_or_error(text, format, t), serial)
+          << format << " threads=" << t;
+    }
+  }
+}
+
+TEST(IngestAdversarial, ValidationErrorsAboveTheThresholdMatchSerial) {
+  // Each input parses, then fails validation: a duplicate id whose pair
+  // sits in different chunks, or reversed times in a late chunk. The
+  // chunked readers must report the serial reader's text exactly.
+  const std::string mid = std::to_string(kAboveValidate / 2);
+  const std::string late = std::to_string(kAboveValidate - 3);
+  const std::string xml = big_xml(kAboveValidate);
+  const std::string csv = big_csv(kAboveValidate);
+  const std::string swf = big_swf(kAboveValidate);
+  const std::pair<std::string, std::string> cases[] = {
+      {"jedule-xml",
+       replaced(xml, "value=\"t" + mid + "\"", "value=\"t3\"")},
+      {"csv", replaced(csv, "\nt" + mid + ",", "\nt3,")},
+      {"csv", replaced(csv, "\nt" + late + ",computation,",
+                       "\nt" + late + ",computation,1e9,")},
+      {"swf", replaced(swf, "\n" + mid + " ", "\n3 ")},
+  };
+  for (const auto& [format, text] : cases) {
+    const std::string serial = read_or_error(text, format, 1);
+    EXPECT_EQ(serial.rfind("error: ", 0), 0u) << format << ": " << serial;
+    for (int t : {2, 8}) {
+      EXPECT_EQ(read_or_error(text, format, t), serial)
+          << format << " threads=" << t;
+    }
+  }
+}
+
 TEST(IngestDifferential, GzipInputMatchesPlainInput) {
   for (const std::string& text : {big_xml(40), big_csv(60)}) {
     TextSource plain(text);

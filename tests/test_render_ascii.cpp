@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "jedule/interactive/session.hpp"
+#include "jedule/render/exporter.hpp"
 #include "jedule/model/builder.hpp"
 #include "jedule/util/error.hpp"
 #include "jedule/util/strings.hpp"
@@ -127,6 +128,26 @@ TEST(Ascii, SessionCommandRendersCurrentView) {
   const std::string zoomed = session.execute("ascii");
   EXPECT_NE(zoomed, full);
   EXPECT_NE(zoomed.find("t"), std::string::npos);
+}
+
+TEST(Ascii, ValidatesUnlessTheCallerAlreadyDid) {
+  model::Schedule s = demo();
+  s.mutable_tasks()[1].set_id("1");  // duplicate id, otherwise drawable
+  EXPECT_THROW(render_ascii(s), ValidationError);
+  AsciiOptions trusted;
+  trusted.assume_validated = true;
+  EXPECT_EQ(render_ascii(s, trusted), render_ascii(demo()));
+}
+
+TEST(Ascii, TxtExporterTrustsRenderOptionsAssumeValidated) {
+  model::Schedule s = demo();
+  s.mutable_tasks()[1].set_id("1");
+  const Exporter* txt = ExporterRegistry::instance().find("ascii");
+  ASSERT_NE(txt, nullptr);
+  RenderOptions options;
+  EXPECT_THROW(txt->render(s, options), ValidationError);
+  options.assume_validated = true;
+  EXPECT_EQ(txt->render(s, options), txt->render(demo(), RenderOptions{}));
 }
 
 }  // namespace

@@ -95,6 +95,15 @@ TEST(Profile, ExportsAllSupportedFormats) {
   EXPECT_THROW(export_profile(s, style, "/tmp/profile.pdf"), ArgumentError);
 }
 
+TEST(Profile, ValidatesUnlessTheCallerAlreadyDid) {
+  model::Schedule s = step_schedule();
+  s.mutable_tasks()[1].set_id("a");  // duplicate id, otherwise drawable
+  EXPECT_THROW(render_profile(s), ValidationError);
+  ProfileStyle trusted;
+  trusted.assume_validated = true;
+  EXPECT_TRUE(render_profile(s, trusted) == render_profile(step_schedule()));
+}
+
 TEST(Profile, SvgIsWellFormed) {
   const std::string path = ::testing::TempDir() + "/profile_wf.svg";
   export_profile(step_schedule(), ProfileStyle{}, path);
