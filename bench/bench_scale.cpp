@@ -51,7 +51,10 @@ namespace {
 
 using namespace jedule;
 
-constexpr int kBenchThreads = 8;
+// Worker count of every parallel row: JEDULE_THREADS if set, else the
+// host's hardware threads. Printed in the report and recorded in the
+// benchmark JSON context as `bench_threads`.
+const int kBenchThreads = util::resolve_threads(0);
 
 model::Schedule big_schedule(int tasks) {
   // Fine-grained task-pool style trace: 64 "threads", alternating exec and
@@ -845,6 +848,8 @@ void report() {
   return;
 #endif
   report_row("library_build_type", "release");
+  report_row("bench_threads", std::to_string(kBenchThreads));
+  ::benchmark::AddCustomContext("bench_threads", std::to_string(kBenchThreads));
   const int kTasks = 250000;
   util::Stopwatch watch;
   const auto schedule = big_schedule(kTasks);
@@ -991,7 +996,7 @@ void report() {
   }
 
   // End-to-end export: the acceptance target for the parallel pipeline is
-  // >= 2x on the 250k-task PNG export with 8 threads.
+  // >= 2x on the 250k-task PNG export with kBenchThreads threads.
   watch.reset();
   const auto bytes_serial =
       render::render_to_bytes(schedule, bench_options(1), "png");
@@ -1095,10 +1100,10 @@ void report() {
   }
 
   // Parallel chunked ingest (DESIGN.md §4i): the same 1M-task document
-  // through the boundary-scan + worker-chunk reader at 1 vs 8 threads,
-  // plus a gzip input to show decompression overlapping the parse. The
-  // outputs must serialize back to the exact input bytes at every thread
-  // count.
+  // through the boundary-scan + worker-chunk reader at 1 vs kBenchThreads
+  // threads, plus a gzip input to show decompression overlapping the
+  // parse. The outputs must serialize back to the exact input bytes at
+  // every thread count.
   {
     const auto& mxml = million_xml();
     io::IngestOptions opt;
@@ -1395,13 +1400,12 @@ void report() {
                  grown->id == full_entry->id);
 
     // Steady-state O(delta) path: a live arena that has appended before
-    // (column slack, seeded id table), as in a --follow session
-    // mid-trace. "Full rebuild" is what a pre-snapshot session had to do
-    // to see those 10k events: re-ingest the grown trace end to end
-    // (parse + validate + index), timed as xml_s above.
+    // (column slack, id table seeded by that first append), as in a
+    // --follow session mid-trace. "Full rebuild" is what a pre-snapshot
+    // session had to do to see those 10k events: re-ingest the grown
+    // trace end to end (parse + validate + index), timed as xml_s above.
     {
       model::ScheduleArena live(million_schedule(980000, 4096));
-      live.validate();
       live.append(
           engine::events_from_tasks(prefix_schedule(1000000), 980000));
       watch.reset();

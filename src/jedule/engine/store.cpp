@@ -39,9 +39,10 @@ std::size_t estimate_schedule_bytes(const model::Schedule& s) {
   return n;
 }
 
-// The entry's identity hash: the task hash folded with the edge hash when
-// edges exist — the same fold as ScheduleArena::combined_hash, so AoS,
-// snapshot and append ingest all agree on the id of identical content.
+// The entry's identity hash: the task hash folded with the edge hash and
+// edge count when edges exist (edge-free content keeps its task-only
+// hash). This is the one fold, so AoS, snapshot and append ingest all
+// agree on the id of identical content.
 std::uint64_t combined_hash_of(std::uint64_t tasks_hash,
                                const model::EdgeIndex& edges) {
   if (edges.empty()) return tasks_hash;

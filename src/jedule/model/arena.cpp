@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <unordered_set>
 
 #include "jedule/model/fnv.hpp"
@@ -20,7 +19,6 @@ using detail::fnv_string;
 using detail::fnv_u64;
 
 constexpr std::uint32_t kIdEmpty = 0xFFFFFFFFu;
-constexpr std::size_t kDensityBins = 256;
 
 // Scalar fallbacks for the columnar scans; render::kernels swaps in the
 // runtime-dispatched SIMD variants via set_column_scan_ops().
@@ -61,35 +59,6 @@ std::size_t first_time_violation(const double* start, const double* end,
     if (!task_times_ok(start[i], end[i])) return i;
   }
   return n;
-}
-
-// Density bin geometry is a pure function of the cluster's current time
-// bounds, so an incrementally grown histogram always matches a freshly
-// built one: the width is the smallest power of two covering the range
-// with kDensityBins bins, and the origin snaps down to the width grid.
-void density_geometry(Time begin, Time end, Time* origin, Time* width) {
-  double len = end - begin;
-  if (!(len > 0)) len = 1.0;
-  double w = 1.0;
-  while (w * static_cast<double>(kDensityBins) < len) w *= 2;
-  while (w * static_cast<double>(kDensityBins) >= len * 2 && w > 1e-9) w /= 2;
-  if (w * static_cast<double>(kDensityBins) < len) w *= 2;
-  double o = std::floor(begin / w) * w;
-  while (end > o + w * static_cast<double>(kDensityBins)) {
-    w *= 2;
-    o = std::floor(begin / w) * w;
-  }
-  *origin = o;
-  *width = w;
-}
-
-std::size_t density_bin(const ScheduleArena::Density& d, Time t) {
-  auto k = static_cast<long long>(std::floor((t - d.origin) / d.bin_width));
-  if (k < 0) k = 0;
-  if (k >= static_cast<long long>(d.bins.size())) {
-    k = static_cast<long long>(d.bins.size()) - 1;
-  }
-  return static_cast<std::size_t>(k);
 }
 
 }  // namespace
@@ -206,7 +175,7 @@ ScheduleArena::ScheduleArena(const Schedule& schedule) {
     }
   }
 
-  build_derived();
+  init_bounds();
 
   tasks_hash_ = detail::kFnvOffset;
   fnv_u64(&tasks_hash_, clusters_.size());
@@ -251,7 +220,7 @@ ScheduleArena::ScheduleArena(Raw raw)
     }
   }
   check_structure();
-  build_derived();
+  init_bounds();
 }
 
 void ScheduleArena::check_structure() const {
@@ -318,57 +287,12 @@ void ScheduleArena::check_structure() const {
   }
 }
 
-void ScheduleArena::build_derived() {
-  per_cluster_.clear();
-  any_tasks_ = false;
+void ScheduleArena::init_bounds() {
   const std::size_t n = start_.size();
-  if (n > 0) {
-    g_scan_ops.minmax_f64(start_.data(), end_.data(), n, &range_.begin,
-                          &range_.end);
-    any_tasks_ = true;
-  }
-
-  // Pass 1: partitions and per-cluster bounds. Consecutive configs tend
-  // to name the same cluster, so one cached slot skips the map lookup on
-  // the hot path of this million-iteration loop.
-  std::vector<int> seen;  // clusters of the current task, deduplicated
-  int cached_cid = 0;
-  PerCluster* cached_pc = nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    seen.clear();
-    for (std::size_t c = cfg_off_[i]; c < cfg_off_[i + 1]; ++c) {
-      const int cid = cfg_cluster_[c];
-      if (std::find(seen.begin(), seen.end(), cid) != seen.end()) continue;
-      seen.push_back(cid);
-      if (cached_pc == nullptr || cid != cached_cid) {
-        cached_pc = &per_cluster_[cid];
-        cached_cid = cid;
-      }
-      PerCluster& pc = *cached_pc;
-      pc.tasks.push_back(static_cast<std::uint32_t>(i));
-      if (!pc.any) {
-        pc.range = TimeRange{start_[i], end_[i]};
-        pc.any = true;
-      } else {
-        pc.range.begin = std::min(pc.range.begin, start_[i]);
-        pc.range.end = std::max(pc.range.end, end_[i]);
-      }
-    }
-  }
-
-  // Pass 2: start-time density histograms (additive, so append() can bump
-  // or re-bucket them without rescanning columns).
-  for (auto& [cid, pc] : per_cluster_) {
-    pc.density.bins.assign(kDensityBins, 0);
-    density_geometry(pc.range.begin, pc.range.end, &pc.density.origin,
-                     &pc.density.bin_width);
-    for (std::uint32_t t : pc.tasks) {
-      ++pc.density.bins[density_bin(pc.density, start_[t])];
-    }
-  }
-
-  id_slots_.clear();
-  id_count_ = 0;
+  if (n == 0) return;
+  TimeRange r{0, 0};
+  g_scan_ops.minmax_f64(start_.data(), end_.data(), n, &r.begin, &r.end);
+  range_ = r;
 }
 
 // ---------------------------------------------------------------------------
@@ -410,42 +334,9 @@ std::string_view ScheduleArena::task_type(std::size_t i) const {
   return types_[type_id_[i]];
 }
 
-std::optional<TimeRange> ScheduleArena::time_range() const {
-  if (!any_tasks_) return std::nullopt;
-  return range_;
-}
-
-std::optional<TimeRange> ScheduleArena::cluster_time_range(
-    int cluster_id) const {
-  auto it = per_cluster_.find(cluster_id);
-  if (it == per_cluster_.end() || !it->second.any) return std::nullopt;
-  return it->second.range;
-}
-
-const std::vector<std::uint32_t>* ScheduleArena::cluster_tasks(
-    int cluster_id) const {
-  auto it = per_cluster_.find(cluster_id);
-  if (it == per_cluster_.end()) return nullptr;
-  return &it->second.tasks;
-}
-
-const ScheduleArena::Density* ScheduleArena::density(int cluster_id) const {
-  auto it = per_cluster_.find(cluster_id);
-  if (it == per_cluster_.end() || !it->second.any) return nullptr;
-  return &it->second.density;
-}
-
 std::uint64_t ScheduleArena::content_hash() const {
   std::uint64_t h = tasks_hash_;
   fnv_u64(&h, task_count());
-  return h;
-}
-
-std::uint64_t ScheduleArena::combined_hash() const {
-  std::uint64_t h = content_hash();
-  if (dep_src_.empty()) return h;
-  fnv_u64(&h, edges_hash_);
-  fnv_u64(&h, dep_src_.size());
   return h;
 }
 
@@ -499,7 +390,7 @@ std::uint32_t ScheduleArena::id_table_find(std::string_view id) const {
   return kIdEmpty;
 }
 
-void ScheduleArena::id_table_grow() const {
+void ScheduleArena::id_table_grow() {
   const std::size_t cap = std::bit_ceil(
       std::max<std::size_t>(id_count_ * 2 + 16, id_slots_.size() * 2));
   std::vector<std::uint32_t> bigger(cap, kIdEmpty);
@@ -512,8 +403,7 @@ void ScheduleArena::id_table_grow() const {
   id_slots_.swap(bigger);
 }
 
-void ScheduleArena::id_table_insert(std::uint32_t task,
-                                    bool* duplicate) const {
+void ScheduleArena::id_table_insert(std::uint32_t task) {
   if (id_slots_.empty() || (id_count_ + 1) * 2 > id_slots_.size()) {
     id_table_grow();
   }
@@ -521,74 +411,15 @@ void ScheduleArena::id_table_insert(std::uint32_t task,
   const std::string_view id = task_id(task);
   std::size_t h = std::hash<std::string_view>{}(id) & (cap - 1);
   while (id_slots_[h] != kIdEmpty) {
-    if (task_id(id_slots_[h]) == id) {
-      *duplicate = true;
-      return;
-    }
+    if (task_id(id_slots_[h]) == id) return;  // already present
     h = (h + 1) & (cap - 1);
   }
   id_slots_[h] = task;
   ++id_count_;
-  *duplicate = false;
 }
 
 // ---------------------------------------------------------------------------
 // Validation (mirrors Schedule::validate, column-backed)
-
-void ScheduleArena::validate() const {
-  if (clusters_.empty()) {
-    throw ValidationError("a schedule requires at least one cluster");
-  }
-  const std::size_t n = task_count();
-
-  // Wide pre-scan: the common, valid case skips the per-row time branch
-  // entirely; a hit is re-reported below at the exact row AoS validate
-  // would have reached first.
-  double lo = 0, hi = 0;
-  const std::size_t violation =
-      n > 0 ? first_time_violation(start_.data(), end_.data(), n, &lo, &hi)
-            : 0;
-
-  id_slots_.assign(std::bit_ceil(n * 2 + 16), kIdEmpty);
-  id_count_ = 0;
-
-  int cached_id = 0;
-  const Cluster* cached_cluster = nullptr;
-  for (std::size_t ti = 0; ti < n; ++ti) {
-    const std::string_view id = task_id(ti);
-    if (id.empty()) {
-      throw ValidationError("task with empty id");
-    }
-    bool duplicate = false;
-    id_table_insert(static_cast<std::uint32_t>(ti), &duplicate);
-    if (duplicate) {
-      throw ValidationError("duplicate task id '" + std::string(id) + "'");
-    }
-    if (ti == violation) check_task_times(id, start_[ti], end_[ti]);
-    const std::size_t c0 = cfg_off_[ti], c1 = cfg_off_[ti + 1];
-    if (c0 == c1) {
-      throw ValidationError("task '" + std::string(id) +
-                            "' has no configuration");
-    }
-    for (std::size_t c = c0; c < c1; ++c) {
-      const int cid = cfg_cluster_[c];
-      if (cached_cluster == nullptr || cid != cached_id) {
-        auto it = cluster_slot_.find(cid);
-        if (it == cluster_slot_.end()) {
-          throw ValidationError("task '" + std::string(id) +
-                                "' references unknown cluster " +
-                                std::to_string(cid));
-        }
-        cached_id = cid;
-        cached_cluster = &clusters_[it->second];
-      }
-      const Cluster& cluster = *cached_cluster;
-      check_config_ranges(id, cluster, range_off_[c], range_off_[c + 1]);
-    }
-  }
-  check_schedule_span(lo, hi);
-  check_deps();
-}
 
 void ScheduleArena::check_deps() const {
   if (dep_off_.empty()) return;
@@ -672,8 +503,8 @@ void ScheduleArena::validate_columns() const {
   if (n == 0) return;
 
   // Each invariant becomes one branch-light sweep over a single column
-  // instead of validate()'s fused per-row walk; none of them needs the
-  // task id until the (exceptional) moment it reports a violation.
+  // instead of a fused per-row walk; none of them needs the task id until
+  // the (exceptional) moment it reports a violation.
   double lo = 0, hi = 0;
   const std::size_t violation =
       first_time_violation(start_.data(), end_.data(), n, &lo, &hi);
@@ -795,13 +626,10 @@ void ScheduleArena::append(const std::vector<Event>& events) {
   // batch leaves it unchanged. The persistent id table answers duplicate
   // probes in O(1) per event instead of re-probing all rows.
   if (id_slots_.empty() && task_count() > 0) {
-    // validate() normally seeds the table; seed it here for arenas that
-    // skipped it (trusted snapshot loads).
+    // The first append seeds the table from the existing rows.
     id_slots_.assign(std::bit_ceil(task_count() * 2 + 16), kIdEmpty);
-    id_count_ = 0;
     for (std::size_t i = 0; i < task_count(); ++i) {
-      bool duplicate = false;
-      id_table_insert(static_cast<std::uint32_t>(i), &duplicate);
+      id_table_insert(static_cast<std::uint32_t>(i));
     }
   }
   std::unordered_set<std::string_view> batch_ids;
@@ -922,65 +750,23 @@ void ScheduleArena::append(const std::vector<Event>& events) {
       dep_off_.owned().push_back(dep_src_.size());
     }
 
-    bool duplicate = false;
-    id_table_insert(i, &duplicate);
+    id_table_insert(i);
 
-    PerCluster& pc = per_cluster_[e.cluster_id];
-    pc.tasks.push_back(i);
-    const bool fresh = !pc.any;
-    if (fresh) {
-      pc.range = TimeRange{e.start, e.end};
-      pc.any = true;
-    } else {
-      pc.range.begin = std::min(pc.range.begin, e.start);
-      pc.range.end = std::max(pc.range.end, e.end);
-    }
-    bump_density(&pc, e.start);
-
-    if (!any_tasks_) {
+    if (!range_) {
       range_ = TimeRange{e.start, e.end};
-      any_tasks_ = true;
     } else {
-      range_.begin = std::min(range_.begin, e.start);
-      range_.end = std::max(range_.end, e.end);
+      range_->begin = std::min(range_->begin, e.start);
+      range_->end = std::max(range_->end, e.end);
     }
 
     hash_row(i);
   }
-  ++version_;
 }
 
 void ScheduleArena::materialize_dep_offsets() {
   auto& off = dep_off_.owned();
   off.assign(task_count() + 1, 0);
   if (edges_hash_ == 0) edges_hash_ = detail::kFnvOffset;
-}
-
-void ScheduleArena::bump_density(PerCluster* pc, Time start) {
-  Density& d = pc->density;
-  if (d.bins.empty()) {
-    d.bins.assign(kDensityBins, 0);
-    density_geometry(pc->range.begin, pc->range.end, &d.origin, &d.bin_width);
-    ++d.bins[density_bin(d, start)];
-    return;
-  }
-  Time origin = 0, width = 0;
-  density_geometry(pc->range.begin, pc->range.end, &origin, &width);
-  if (origin != d.origin || width != d.bin_width) {
-    // The cluster outgrew its histogram: re-bucket the counts into the new
-    // geometry. Start counts are additive, so no column rescan is needed —
-    // every old bin lands wholly inside one new bin (widths are powers of
-    // two and origins snap to the width grid).
-    std::vector<std::uint32_t> bins(kDensityBins, 0);
-    Density fresh{origin, width, std::move(bins)};
-    for (std::size_t k = 0; k < d.bins.size(); ++k) {
-      if (d.bins[k] == 0) continue;
-      const Time t = d.origin + (static_cast<Time>(k) + 0.5) * d.bin_width;
-      fresh.bins[density_bin(fresh, t)] += d.bins[k];
-    }
-    d = std::move(fresh);
-  }
-  ++d.bins[density_bin(d, start)];
 }
 
 // ---------------------------------------------------------------------------
@@ -1016,10 +802,6 @@ std::size_t ScheduleArena::heap_bytes() const {
                   dep_off_.heap_bytes() + dep_src_.heap_bytes() +
                   dep_data_.heap_bytes();
   b += id_slots_.capacity() * sizeof(std::uint32_t);
-  for (const auto& [cid, pc] : per_cluster_) {
-    b += pc.tasks.capacity() * sizeof(std::uint32_t);
-    b += pc.density.bins.capacity() * sizeof(std::uint32_t);
-  }
   for (const auto& t : types_) b += t.capacity();
   return b;
 }

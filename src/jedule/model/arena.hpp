@@ -10,23 +10,20 @@
 // a mapped arena copies the columns out once (copy-on-append) and stays
 // heap-backed from then on.
 //
-// On top of the raw columns the arena maintains derived structures kept
-// consistent incrementally across append():
-//   * per-cluster task partitions (sorted task indices) — the replacement
-//     for Schedule::tasks_in_cluster's O(n) scan,
-//   * per-cluster and global time bounds (O(1) lookups for the layout's
-//     panel ranges),
-//   * per-cluster LOD density histograms over fixed time bins,
-//   * an open-addressed task-id hash table, so appending checks duplicate
-//     ids in O(delta) instead of re-probing the whole table,
+// Besides the columns the arena owns only what append() needs, each kept
+// up to date in O(delta) per append:
+//   * the global time bounds, against which append() checks the span,
+//   * an open-addressed task-id hash table, seeded by the first append(),
+//     so appending checks duplicate ids without re-probing every row,
 //   * the running FNV content hash, byte-identical to
-//     TaskIndex::hash_schedule on the materialized schedule, extended in
-//     O(delta) per append.
+//     TaskIndex::hash_schedule on the materialized schedule.
+// Spatial queries, per-cluster entries and view bounds belong to
+// model::TaskIndex, which the engine builds next to the arena.
 //
 // The AoS Schedule stays the construction and differential-reference
 // path: `ScheduleArena(schedule)` builds the columns, `to_schedule()`
-// materializes them back, and the test suite cross-checks validate(),
-// hashes, partitions and bounds between the two representations.
+// materializes them back, and the test suite cross-checks validation
+// verdicts, hashes and bounds between the two representations.
 
 #include <cstdint>
 #include <map>
@@ -88,7 +85,7 @@ class Column {
 }  // namespace detail
 
 /// Columnar scan hooks. The arena's hot sweeps (min/max time bounds, the
-/// end>=start sanity scan of validate()) call through these so the
+/// end>=start sanity scan of validate_columns()) call through these so the
 /// runtime-dispatched SIMD kernels in render::kernels can serve them;
 /// jed_render installs the dispatcher at static-init time and standalone
 /// jed_model users fall back to the scalar loops.
@@ -121,23 +118,10 @@ class ScheduleArena {
     std::vector<std::pair<std::string, double>> deps;
   };
 
-  /// Per-cluster LOD density histogram: bins[k] counts the tasks of the
-  /// cluster whose *start* time falls in [origin + k*bin_width,
-  /// origin + (k+1)*bin_width). Start counts (unlike overlap counts) are
-  /// additive under bin merges, so append() re-buckets a histogram the
-  /// cluster outgrew without rescanning the columns; the bin geometry is a
-  /// pure function of the cluster's current time bounds, making an
-  /// incrementally maintained histogram identical to a freshly built one.
-  struct Density {
-    Time origin = 0;
-    Time bin_width = 0;
-    std::vector<std::uint32_t> bins;
-  };
-
   /// Raw column package, the snapshot loader's construction input. Every
   /// column may be mapped (zero-copy spans kept alive by `owner`) or
   /// owned. The constructor bounds-checks all offsets/ids (ParseError on
-  /// inconsistency) before deriving anything, so corrupted snapshots fail
+  /// inconsistency) before reading any row, so corrupted snapshots fail
   /// cleanly instead of faulting.
   struct Raw {
     detail::Column<double> start, end;
@@ -225,44 +209,26 @@ class ScheduleArena {
   }
   const std::vector<std::string>& types() const { return types_; }
 
-  std::optional<TimeRange> time_range() const;
-  /// O(1): bounds of the tasks with a configuration in `cluster_id`,
-  /// maintained across append(); nullopt if none.
-  std::optional<TimeRange> cluster_time_range(int cluster_id) const;
-  /// Sorted task indices with a configuration in `cluster_id`; nullptr if
-  /// none (or unknown cluster).
-  const std::vector<std::uint32_t>* cluster_tasks(int cluster_id) const;
-  /// Density histogram for `cluster_id`; nullptr if the cluster is empty.
-  const Density* density(int cluster_id) const;
+  /// Global time bounds over all tasks, maintained across append();
+  /// nullopt for an empty arena.
+  std::optional<TimeRange> time_range() const { return range_; }
 
   /// Byte-identical to TaskIndex::hash_schedule(to_schedule()). Covers
   /// the task columns only (edges excluded) so task-only tooling — the
   /// snapshot header, TaskIndex — keeps matching historical hashes.
   std::uint64_t content_hash() const;
-  /// content_hash() when the arena has no edges (so legacy ids and dedup
-  /// keys are unchanged), else content_hash() folded with the running
-  /// edge hash and edge count. This is the invalidation key for caches
-  /// whose output depends on edges (TileCache, serve ETags).
-  std::uint64_t combined_hash() const;
   std::uint64_t tasks_hash() const { return tasks_hash_; }
   /// Running FNV over the CSR edge triples (src, dst, data), extended in
   /// O(delta) per append.
   std::uint64_t edges_hash() const { return edges_hash_; }
-  /// Bumped once per successful append().
-  std::uint64_t version() const { return version_; }
 
-  /// Semantic validation over the columns — the same invariants (and
-  /// error messages) as Schedule::validate(), plus it seeds the id table
-  /// used for O(delta) duplicate checks on append.
-  void validate() const;
-
-  /// Snapshot-load validation: the numeric invariants of validate() (time
-  /// sanity, non-empty ids and configurations, host-range bounds and
-  /// overlap) as wide column sweeps, but without hashing a million task
-  /// ids into the duplicate-id table — id uniqueness was certified when
-  /// the snapshot was written and every column is CRC-covered, so the
-  /// table is seeded lazily by the first append() instead. Roughly 10x
-  /// cheaper than validate() on large arenas.
+  /// Snapshot-load validation: the invariants of Schedule::validate()
+  /// (time sanity and span, non-empty ids and configurations, known
+  /// clusters, host-range bounds and overlap, forward non-negative edges)
+  /// with its error messages, as wide column sweeps. Task-id uniqueness
+  /// is not checked: it was certified when the snapshot was written and
+  /// every column is CRC-covered, so a million ids are hashed only when
+  /// the first append() seeds the duplicate-id table.
   void validate_columns() const;
 
   /// Materializes the AoS schedule (snapshot load / render path). The task
@@ -272,9 +238,10 @@ class ScheduleArena {
 
   /// Appends `events` as new tasks: validates them (duplicate ids via the
   /// persistent id table, host bounds, time sanity) without touching the
-  /// existing rows, extends every column and derived structure, and
-  /// continues the content hash — O(delta) total. Throws ValidationError
-  /// leaving the arena unchanged.
+  /// existing rows, extends every column and the bounds, and continues the
+  /// content hash — O(delta) total, plus one O(n) seeding of the id table
+  /// on the first call. Throws ValidationError leaving the arena's rows,
+  /// bounds and hash unchanged.
   void append(const std::vector<Event>& events);
 
   std::size_t heap_bytes() const;
@@ -282,23 +249,15 @@ class ScheduleArena {
   bool mmap_backed() const;
 
  private:
-  struct PerCluster {
-    TimeRange range{0, 0};
-    bool any = false;
-    std::vector<std::uint32_t> tasks;  // ascending
-    Density density;
-  };
-
   void check_structure() const;  // throws ParseError
   void check_deps() const;       // throws ValidationError
-  void build_derived();          // partitions, bounds, density, id table
+  void init_bounds();            // range_ from the time columns
   void check_config_ranges(std::string_view id, const Cluster& cluster,
                            std::size_t r0, std::size_t r1) const;
   void ensure_owned();           // copy-on-append out of the mapping
-  void id_table_insert(std::uint32_t task, bool* duplicate) const;
-  void id_table_grow() const;
+  void id_table_insert(std::uint32_t task);
+  void id_table_grow();
   std::uint32_t id_table_find(std::string_view id) const;  // task or npos
-  void bump_density(PerCluster* pc, Time start);
   void hash_row(std::size_t i);  // folds row i into tasks_hash_
   void hash_edge(std::uint32_t src, std::uint32_t dst, double data);
   void materialize_dep_offsets();  // dep_off_: empty -> task_count()+1 zeros
@@ -327,18 +286,15 @@ class ScheduleArena {
   std::map<int, std::size_t> cluster_slot_;  // id -> clusters_ index
   std::vector<std::pair<std::string, std::string>> meta_;
 
-  std::map<int, PerCluster> per_cluster_;
-  TimeRange range_{0, 0};
-  bool any_tasks_ = false;
+  std::optional<TimeRange> range_;
 
   // Open-addressed task-id table: slot -> task index (kIdEmpty free),
-  // power-of-two capacity. Mutable: validate() seeds it lazily.
-  mutable std::vector<std::uint32_t> id_slots_;
-  mutable std::size_t id_count_ = 0;
+  // power-of-two capacity. Empty until the first append() seeds it.
+  std::vector<std::uint32_t> id_slots_;
+  std::size_t id_count_ = 0;
 
   std::uint64_t tasks_hash_ = 0;
   std::uint64_t edges_hash_ = 0;
-  std::uint64_t version_ = 0;
   std::shared_ptr<const void> owner_;
   std::size_t mapped_file_bytes_ = 0;
 };

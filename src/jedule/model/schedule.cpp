@@ -232,19 +232,6 @@ std::optional<TimeRange> Schedule::view_time_range(int cluster_id,
   return local ? local : time_range();
 }
 
-std::vector<const Task*> Schedule::tasks_in_cluster(int cluster_id) const {
-  std::vector<const Task*> out;
-  for (const auto& t : tasks_) {
-    for (const auto& c : t.configurations()) {
-      if (c.cluster_id == cluster_id) {
-        out.push_back(&t);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 bool task_times_ok(Time start, Time end) {
   return std::isfinite(start) && std::isfinite(end) && end >= start &&
          std::isfinite(end - start);

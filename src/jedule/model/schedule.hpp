@@ -199,12 +199,6 @@ class Schedule {
   /// tasks once per displayed cluster.
   std::map<int, TimeRange> cluster_time_ranges() const;
 
-  /// Tasks with at least one configuration in the cluster. This is an
-  /// O(n) scan over all tasks; hot paths that already hold a TaskIndex
-  /// or ScheduleArena should use TaskIndex::cluster_tasks / the arena's
-  /// per-cluster partitions, which answer the same query precomputed.
-  std::vector<const Task*> tasks_in_cluster(int cluster_id) const;
-
   /// Checks every invariant of DESIGN.md §6 items 1-2 plus time sanity
   /// (check_task_times, check_schedule_span) and task-id uniqueness; throws
   /// jedule::ValidationError describing the first violation found.

@@ -108,59 +108,12 @@ TaskIndex::Segment TaskIndex::make_segment(std::vector<Entry> entries) {
   build_max_end(storage->entries, &storage->max_end, 0,
                 storage->entries.size());
 
-  auto tasks = std::make_shared<std::vector<std::uint32_t>>();
-  tasks->reserve(storage->entries.size());
-  for (const auto& e : storage->entries) tasks->push_back(e.task);
-  std::sort(tasks->begin(), tasks->end());
-  tasks->erase(std::unique(tasks->begin(), tasks->end()), tasks->end());
-
   Segment seg;
   seg.entries = storage->entries.data();
   seg.max_end = storage->max_end.data();
   seg.count = storage->entries.size();
   seg.owner = std::move(storage);
-  seg.tasks = std::move(tasks);
   return seg;
-}
-
-void TaskIndex::extend(const Schedule& schedule, std::size_t first) {
-  const auto& tasks = schedule.tasks();
-  auto cluster_slot = [this](int id) -> ClusterIndex* {
-    for (auto& ci : clusters_) {
-      if (ci.cluster_id == id) return &ci;
-    }
-    return nullptr;
-  };
-
-  std::vector<std::vector<Entry>> fresh(clusters_.size());
-  double lo = 0, hi = 0;
-  bool any = false;
-  for (std::size_t i = first; i < tasks.size(); ++i) {
-    const Task& t = tasks[i];
-    if (!any) {
-      lo = t.start_time();
-      hi = t.end_time();
-      any = true;
-    } else {
-      lo = std::min(lo, t.start_time());
-      hi = std::max(hi, t.end_time());
-    }
-    for (const auto& cfg : t.configurations()) {
-      ClusterIndex* ci = cluster_slot(cfg.cluster_id);
-      if (ci == nullptr) continue;  // validate() rejects this anyway
-      for (const auto& hr : cfg.hosts) {
-        Entry e;
-        e.begin = t.start_time();
-        e.end = t.end_time();
-        e.host_start = hr.start;
-        e.host_end = hr.start + hr.nb - 1;
-        e.task = static_cast<std::uint32_t>(i);
-        fresh[static_cast<std::size_t>(ci - clusters_.data())].push_back(e);
-      }
-    }
-    hash_task(&tasks_hash_, t);
-  }
-  finish_extend(&fresh, any, lo, hi, tasks.size(), tasks_hash_);
 }
 
 void TaskIndex::finish_extend(std::vector<std::vector<Entry>>* fresh,
@@ -226,26 +179,36 @@ TaskIndex::TaskIndex(const Schedule& schedule, int threads)
     ci.cluster_id = c.id;
     clusters_.push_back(std::move(ci));
   }
-  tasks_hash_ = hash_clusters(schedule);
-  extend(schedule, 0);
-}
+  std::uint64_t hash = hash_clusters(schedule);
 
-TaskIndex::TaskIndex(const TaskIndex& base, const Schedule& schedule,
-                     std::size_t first_new)
-    : clusters_(base.clusters_),
-      task_count_(base.task_count_),
-      time_range_(base.time_range_),
-      content_hash_(base.content_hash_),
-      tasks_hash_(base.tasks_hash_) {
-  JED_ASSERT(first_new == base.task_count_);
-  JED_ASSERT(schedule.tasks().size() >= first_new);
-  // The hash continuation is only valid when the cluster table is the one
-  // the base hashed.
-  JED_ASSERT(schedule.clusters().size() == clusters_.size());
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    JED_ASSERT(schedule.clusters()[c].id == clusters_[c].cluster_id);
+  const auto& tasks = schedule.tasks();
+  std::vector<std::vector<Entry>> fresh(clusters_.size());
+  double lo = 0, hi = 0;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const Task& t = tasks[i];
+    if (i == 0) {
+      lo = t.start_time();
+      hi = t.end_time();
+    } else {
+      lo = std::min(lo, t.start_time());
+      hi = std::max(hi, t.end_time());
+    }
+    for (const auto& cfg : t.configurations()) {
+      const ClusterIndex* ci = cluster(cfg.cluster_id);
+      if (ci == nullptr) continue;  // validate() rejects this anyway
+      for (const auto& hr : cfg.hosts) {
+        Entry e;
+        e.begin = t.start_time();
+        e.end = t.end_time();
+        e.host_start = hr.start;
+        e.host_end = hr.start + hr.nb - 1;
+        e.task = static_cast<std::uint32_t>(i);
+        fresh[static_cast<std::size_t>(ci - clusters_.data())].push_back(e);
+      }
+    }
+    hash_task(&hash, t);
   }
-  extend(schedule, first_new);
+  finish_extend(&fresh, !tasks.empty(), lo, hi, tasks.size(), hash);
 }
 
 TaskIndex::TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
@@ -263,12 +226,6 @@ TaskIndex::TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
   }
 
   const ScheduleArena::ColumnsView cols = arena.columns();
-  auto cluster_slot = [this](int id) -> ClusterIndex* {
-    for (auto& ci : clusters_) {
-      if (ci.cluster_id == id) return &ci;
-    }
-    return nullptr;
-  };
 
   std::vector<std::vector<Entry>> fresh(clusters_.size());
   double lo = 0, hi = 0;
@@ -285,7 +242,7 @@ TaskIndex::TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
       hi = std::max(hi, e);
     }
     for (std::uint32_t c = cols.cfg_off[i]; c < cols.cfg_off[i + 1]; ++c) {
-      ClusterIndex* ci = cluster_slot(cols.cfg_cluster[c]);
+      const ClusterIndex* ci = cluster(cols.cfg_cluster[c]);
       if (ci == nullptr) continue;  // append() rejects this anyway
       for (std::uint32_t r = cols.range_off[c]; r < cols.range_off[c + 1];
            ++r) {
@@ -300,7 +257,7 @@ TaskIndex::TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
     }
   }
   // The arena extended the same running FNV chain row by row; adopting it
-  // skips rehashing and stays byte-identical to the AoS extension path.
+  // skips rehashing and stays byte-identical to a full rebuild.
   finish_extend(&fresh, any, lo, hi, cols.tasks, arena.tasks_hash());
   JED_ASSERT(content_hash_ == arena.content_hash());
 }
@@ -315,21 +272,8 @@ TaskIndex::TaskIndex(Raw raw)
     ClusterIndex ci;
     ci.cluster_id = rc.cluster_id;
     if (rc.count > 0) {
-      auto tasks = std::make_shared<std::vector<std::uint32_t>>();
-      tasks->reserve(rc.count);
-      for (std::size_t i = 0; i < rc.count; ++i) {
-        tasks->push_back(rc.entries[i].task);
-      }
-      std::sort(tasks->begin(), tasks->end());
-      tasks->erase(std::unique(tasks->begin(), tasks->end()), tasks->end());
-
-      Segment seg;
-      seg.entries = rc.entries;
-      seg.max_end = rc.max_end;
-      seg.count = rc.count;
-      seg.owner = raw.owner;
-      seg.tasks = std::move(tasks);
-      ci.segments.push_back(std::move(seg));
+      ci.segments.push_back(
+          Segment{rc.entries, rc.max_end, rc.count, raw.owner});
     }
     clusters_.push_back(std::move(ci));
   }
@@ -357,11 +301,6 @@ std::size_t TaskIndex::entry_count(int cluster_id) const {
   std::size_t n = 0;
   for (const auto& s : ci->segments) n += s.count;
   return n;
-}
-
-std::size_t TaskIndex::segment_count(int cluster_id) const {
-  const ClusterIndex* ci = cluster(cluster_id);
-  return ci ? ci->segments.size() : 0;
 }
 
 void TaskIndex::query(int cluster_id, double t0, double t1,
@@ -395,32 +334,6 @@ std::size_t TaskIndex::count_upto(int cluster_id, double t0, double t1,
   } catch (const Done&) {
   }
   return n;
-}
-
-const TaskIndex::Entry* TaskIndex::topmost_at(int cluster_id, double t,
-                                              int h) const {
-  const Entry* best = nullptr;
-  query(cluster_id, t, t, [&best, h](const Entry& e) {
-    if (h < e.host_start || h > e.host_end) return;
-    if (best == nullptr || e.task > best->task) best = &e;
-  });
-  return best;
-}
-
-std::vector<std::uint32_t> TaskIndex::cluster_tasks(int cluster_id) const {
-  std::vector<std::uint32_t> out;
-  const ClusterIndex* ci = cluster(cluster_id);
-  if (ci == nullptr) return out;
-  std::size_t total = 0;
-  for (const auto& s : ci->segments) total += s.tasks->size();
-  out.reserve(total);
-  // Extension segments always cover strictly later task indices than the
-  // segments before them, so the per-segment sorted lists concatenate
-  // into one sorted, duplicate-free partition.
-  for (const auto& s : ci->segments) {
-    out.insert(out.end(), s.tasks->begin(), s.tasks->end());
-  }
-  return out;
 }
 
 std::vector<TaskIndex::FlatCluster> TaskIndex::flatten() const {

@@ -18,11 +18,14 @@
 // segment; the O(delta) extension constructor shares the base index's
 // segments untouched and adds one small segment holding only the new
 // tasks, so appending to a million-task index never re-sorts the base.
+// Past kMaxSegments segments a cluster is merged back into one.
 // Segments may also point into an mmapped snapshot (DESIGN.md §4h)
 // instead of heap vectors; `owner` keeps the backing storage alive.
 // Queries visit every segment; result order stays unspecified, as before.
 //
-// The index is immutable after construction and safe to share across
+// The index is the one owner of a view's spatial entries, window queries
+// and time bounds; ScheduleArena keeps only the columns and what append()
+// checks. It is immutable after construction and safe to share across
 // threads. It also records a content hash of the schedule (tasks, times,
 // allocations, clusters) that the render::TileCache uses as a cache key.
 // The hash folds the task count in *last*, so the running pre-count hash
@@ -64,17 +67,12 @@ class TaskIndex {
   explicit TaskIndex(const Schedule& schedule, int threads = 1);
 
   /// O(delta) extension: `base` indexed the first `first_new` tasks of
-  /// `schedule` (same clusters, same tasks, in the same order — only
-  /// tasks appended at the end). Shares the base's segments and indexes
-  /// only tasks [first_new, size); the content hash is continued from the
-  /// base's running hash instead of rehashing the whole schedule.
-  TaskIndex(const TaskIndex& base, const Schedule& schedule,
-            std::size_t first_new);
-
-  /// Same O(delta) extension, reading the appended rows straight from the
-  /// columnar arena — the live-append path never materializes an AoS
-  /// schedule. The hash continuation reuses the arena's running hash
-  /// (byte-identical to hashing the materialized tasks).
+  /// `arena` (same clusters, same tasks, in the same order — only tasks
+  /// appended at the end). Shares the base's segments and indexes only
+  /// rows [first_new, size), read straight from the columns, so the
+  /// live-append path never materializes an AoS schedule. The hash is the
+  /// arena's running hash (byte-identical to hashing the materialized
+  /// tasks).
   TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
             std::size_t first_new);
 
@@ -124,19 +122,6 @@ class TaskIndex {
   std::size_t count_upto(int cluster_id, double t0, double t1,
                          std::size_t limit) const;
 
-  /// Point query: the entry with the highest task index covering time `t`
-  /// on host `h` (the topmost rectangle in paint order), or nullptr.
-  const Entry* topmost_at(int cluster_id, double t, int h) const;
-
-  /// Ascending, duplicate-free indices of the tasks having at least one
-  /// configuration in `cluster_id` — the cluster partition that replaces
-  /// Schedule::tasks_in_cluster's O(n) scan. Segments cover disjoint task
-  /// ranges, so this concatenates precomputed per-segment lists.
-  std::vector<std::uint32_t> cluster_tasks(int cluster_id) const;
-
-  /// Number of segments backing `cluster_id` (test/bench introspection).
-  std::size_t segment_count(int cluster_id) const;
-
   /// One merged, sorted entry array (+ implicit-BST max_end) per cluster,
   /// in schedule cluster order — the snapshot serialization form.
   struct FlatCluster {
@@ -152,7 +137,7 @@ class TaskIndex {
   std::uint64_t content_hash() const { return content_hash_; }
 
   /// The running hash before the task count is folded in — the resume
-  /// point for O(delta) hash extension (extension ctor, ScheduleArena).
+  /// point for O(delta) hash extension (ScheduleArena::append).
   std::uint64_t tasks_hash() const { return tasks_hash_; }
 
   /// The hash above without building an index (cache fallback path).
@@ -164,8 +149,6 @@ class TaskIndex {
     const double* max_end = nullptr;  // subtree max end, implicit BST
     std::size_t count = 0;
     std::shared_ptr<const void> owner;  // heap vectors or a file mapping
-    // Sorted unique task indices appearing in this segment.
-    std::shared_ptr<const std::vector<std::uint32_t>> tasks;
   };
   struct ClusterIndex {
     int cluster_id = 0;
@@ -174,11 +157,9 @@ class TaskIndex {
 
   /// Builds a heap-backed segment from unsorted entries.
   static Segment make_segment(std::vector<Entry> entries);
-  /// Indexes tasks [first, size) of `schedule`, appending one segment per
-  /// cluster that gains entries, and extends hash/bounds/count.
-  void extend(const Schedule& schedule, std::size_t first);
-  /// Shared tail of the extension paths: installs the per-cluster fresh
-  /// entry lists as segments, widens the bounds, refolds the count.
+  /// Shared tail of the full build and the extension: installs the
+  /// per-cluster fresh entry lists as segments, widens the bounds, refolds
+  /// the count.
   void finish_extend(std::vector<std::vector<Entry>>* fresh, bool any,
                      double lo, double hi, std::size_t new_count,
                      std::uint64_t new_tasks_hash);

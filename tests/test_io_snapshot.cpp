@@ -77,7 +77,7 @@ TEST(Snapshot, SerializeParseRoundTrips) {
   EXPECT_EQ(snap.arena.task_count(), schedule.tasks().size());
   EXPECT_EQ(snap.arena.content_hash(), TaskIndex::hash_schedule(schedule));
   EXPECT_EQ(snap.index.content_hash(), snap.arena.content_hash());
-  EXPECT_NO_THROW(snap.arena.validate());
+  EXPECT_NO_THROW(snap.arena.validate_columns());
   // Materialization is byte-identical on the wire.
   EXPECT_EQ(write_schedule_xml(snap.arena.to_schedule()),
             write_schedule_xml(schedule));
@@ -98,7 +98,7 @@ TEST(Snapshot, SaveLoadUsesTheMapping) {
   EXPECT_GT(snap.arena.mmap_bytes(), 0u);
   EXPECT_TRUE(snap.arena.mmap_backed());
   EXPECT_EQ(snap.arena.content_hash(), arena.content_hash());
-  EXPECT_NO_THROW(snap.arena.validate());
+  EXPECT_NO_THROW(snap.arena.validate_columns());
 
   // Index queries work straight off the mapping.
   const auto fresh = index.flatten();
@@ -188,7 +188,7 @@ TEST(Snapshot, RejectsBitFlips) {
       // The only flips the CRCs don't cover are the 64-byte-alignment
       // padding gaps between sections; those leave every payload byte
       // intact, so the parsed snapshot must be identical to the original.
-      snap.arena.validate();
+      snap.arena.validate_columns();
       EXPECT_EQ(snap.arena.content_hash(), good_hash) << "trial " << t;
       EXPECT_EQ(serialize_snapshot(snap.arena, snap.index), good)
           << "trial " << t;

@@ -1,12 +1,11 @@
 // Differential suite for the columnar ScheduleArena against the AoS
 // Schedule (DESIGN.md §4h): both representations must agree on hashes,
-// validation verdicts, partitions, bounds and density, and the O(delta)
-// append must be indistinguishable from rebuilding from scratch.
+// validation verdicts and bounds, and the O(delta) append must be
+// indistinguishable from rebuilding from scratch.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <string>
@@ -98,103 +97,59 @@ TEST(ScheduleArena, ContentHashMatchesTaskIndex) {
   }
 }
 
-TEST(ScheduleArena, BoundsAndPartitionsMatchSchedule) {
+TEST(ScheduleArena, BoundsMatchSchedule) {
   const Schedule schedule = random_schedule(300, 11);
   const ScheduleArena arena(schedule);
-
   ASSERT_TRUE(arena.time_range().has_value());
   ASSERT_TRUE(schedule.time_range().has_value());
   EXPECT_EQ(arena.time_range()->begin, schedule.time_range()->begin);
   EXPECT_EQ(arena.time_range()->end, schedule.time_range()->end);
 
-  for (const auto& cluster : schedule.clusters()) {
-    const auto a = arena.cluster_time_range(cluster.id);
-    const auto s = schedule.cluster_time_range(cluster.id);
-    ASSERT_EQ(a.has_value(), s.has_value()) << cluster.id;
-    if (a) {
-      EXPECT_EQ(a->begin, s->begin);
-      EXPECT_EQ(a->end, s->end);
-    }
+  Schedule empty;
+  empty.add_cluster(0, "c0", 4);
+  EXPECT_FALSE(ScheduleArena(empty).time_range().has_value());
+}
 
-    // Cluster partition == tasks_in_cluster's scan result.
-    const auto* part = arena.cluster_tasks(cluster.id);
-    const auto scanned = schedule.tasks_in_cluster(cluster.id);
-    ASSERT_NE(part, nullptr);
-    ASSERT_EQ(part->size(), scanned.size());
-    for (std::size_t i = 0; i < scanned.size(); ++i) {
-      EXPECT_EQ(&schedule.tasks()[(*part)[i]], scanned[i]);
-    }
+// The error Schedule::validate() throws for `s`, or "" if it passes.
+std::string validate_error(const Schedule& s) {
+  try {
+    s.validate();
+  } catch (const ValidationError& e) {
+    return e.what();
   }
-  EXPECT_EQ(arena.cluster_tasks(999), nullptr);
+  return "";
 }
 
 TEST(ScheduleArena, ValidateAgreesWithScheduleValidate) {
   // Valid schedules pass both.
-  ScheduleArena ok(sample_schedule());
-  EXPECT_NO_THROW(ok.validate());
+  EXPECT_NO_THROW(ScheduleArena(sample_schedule()).validate_columns());
 
-  // Each invalid shape must throw ValidationError columnarly too. The
-  // builder validates on build(), so assemble via Schedule directly.
-  auto make = [](auto&& mutate) {
+  // Each invalid shape must throw the same ValidationError columnarly.
+  // The builder validates on build(), so assemble via Schedule directly.
+  auto make = [](int cluster, int host_start, Time start, Time end) {
     Schedule s;
     s.add_cluster(0, "c0", 4);
-    Task t("x", "computation", 0.0, 1.0);
-    Configuration cfg;
-    cfg.cluster_id = 0;
-    cfg.hosts.push_back(HostRange{0, 2});
-    t.add_configuration(cfg);
-    s.add_task(t);
-    mutate(&s);
+    Task x("x", "computation", 0.0, 1.0);
+    x.allocate(0, 0, 2);
+    s.add_task(x);
+    Task y("y", "computation", start, end);
+    y.allocate(cluster, host_start, 2);
+    s.add_task(y);
     return s;
   };
-
-  // Host range past the cluster size.
-  const Schedule bad_host = make([](Schedule* s) {
-    Task t("y", "computation", 0.0, 1.0);
-    Configuration cfg;
-    cfg.cluster_id = 0;
-    cfg.hosts.push_back(HostRange{3, 2});
-    t.add_configuration(cfg);
-    s->add_task(t);
-  });
-  EXPECT_THROW(bad_host.validate(), ValidationError);
-  EXPECT_THROW(ScheduleArena(bad_host).validate(), ValidationError);
-
-  // Unknown cluster.
-  const Schedule bad_cluster = make([](Schedule* s) {
-    Task t("y", "computation", 0.0, 1.0);
-    Configuration cfg;
-    cfg.cluster_id = 7;
-    cfg.hosts.push_back(HostRange{0, 1});
-    t.add_configuration(cfg);
-    s->add_task(t);
-  });
-  EXPECT_THROW(bad_cluster.validate(), ValidationError);
-  EXPECT_THROW(ScheduleArena(bad_cluster).validate(), ValidationError);
-
-  // end < start.
-  const Schedule bad_time = make([](Schedule* s) {
-    Task t("y", "computation", 2.0, 1.0);
-    Configuration cfg;
-    cfg.cluster_id = 0;
-    cfg.hosts.push_back(HostRange{0, 1});
-    t.add_configuration(cfg);
-    s->add_task(t);
-  });
-  EXPECT_THROW(bad_time.validate(), ValidationError);
-  EXPECT_THROW(ScheduleArena(bad_time).validate(), ValidationError);
-
-  // Duplicate task id.
-  const Schedule dup_id = make([](Schedule* s) {
-    Task t("x", "computation", 2.0, 3.0);
-    Configuration cfg;
-    cfg.cluster_id = 0;
-    cfg.hosts.push_back(HostRange{0, 1});
-    t.add_configuration(cfg);
-    s->add_task(t);
-  });
-  EXPECT_THROW(dup_id.validate(), ValidationError);
-  EXPECT_THROW(ScheduleArena(dup_id).validate(), ValidationError);
+  const Schedule bad_host = make(0, 3, 0.0, 1.0);     // past the cluster
+  const Schedule bad_cluster = make(7, 0, 0.0, 1.0);  // unknown cluster
+  const Schedule bad_time = make(0, 0, 2.0, 1.0);     // end < start
+  for (const Schedule* s : {&bad_host, &bad_cluster, &bad_time}) {
+    const std::string want = validate_error(*s);
+    ASSERT_NE(want, "");
+    try {
+      ScheduleArena(*s).validate_columns();
+      ADD_FAILURE() << "accepted: " << want;
+    } catch (const ValidationError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
 }
 
 TEST(ScheduleArena, NonFiniteTimesRejectedLikeScheduleValidate) {
@@ -217,15 +172,11 @@ TEST(ScheduleArena, NonFiniteTimesRejectedLikeScheduleValidate) {
     }
     ASSERT_NE(want.find("task 't6'"), std::string::npos) << want;
     const ScheduleArena arena(s);
-    for (const auto& check : {std::function<void()>([&] { arena.validate(); }),
-                              std::function<void()>(
-                                  [&] { arena.validate_columns(); })}) {
-      try {
-        check();
-        ADD_FAILURE() << "accepted [" << start << ", " << end << "]";
-      } catch (const ValidationError& e) {
-        EXPECT_EQ(std::string(e.what()), want);
-      }
+    try {
+      arena.validate_columns();
+      ADD_FAILURE() << "accepted [" << start << ", " << end << "]";
+    } catch (const ValidationError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
     }
     // Appends go through the same check.
     ScheduleArena grown(ScheduleBuilder()
@@ -233,7 +184,6 @@ TEST(ScheduleArena, NonFiniteTimesRejectedLikeScheduleValidate) {
                             .task("a", "computation", 0, 1)
                             .on(0, 0, 1)
                             .build());
-    grown.validate();
     ScheduleArena::Event e;
     e.id = "t6";
     e.type = "computation";
@@ -262,15 +212,11 @@ TEST(ScheduleArena, OverflowingSpanRejectedLikeScheduleValidate) {
   }
   ASSERT_NE(want.find("overflows"), std::string::npos) << want;
   const ScheduleArena arena(s);
-  for (const auto& check : {std::function<void()>([&] { arena.validate(); }),
-                            std::function<void()>(
-                                [&] { arena.validate_columns(); })}) {
-    try {
-      check();
-      ADD_FAILURE() << "accepted a span of [-1e308, 1e308]";
-    } catch (const ValidationError& e) {
-      EXPECT_EQ(std::string(e.what()), want);
-    }
+  try {
+    arena.validate_columns();
+    ADD_FAILURE() << "accepted a span of [-1e308, 1e308]";
+  } catch (const ValidationError& e) {
+    EXPECT_EQ(std::string(e.what()), want);
   }
   // An append that stretches a valid arena past a finite span.
   ScheduleArena grown(ScheduleBuilder()
@@ -278,7 +224,6 @@ TEST(ScheduleArena, OverflowingSpanRejectedLikeScheduleValidate) {
                           .task("a", "computation", -1e308, -1e308)
                           .on(0, 0, 1)
                           .build());
-  grown.validate();
   ScheduleArena::Event e;
   e.id = "b";
   e.type = "computation";
@@ -304,50 +249,23 @@ TEST(ScheduleArena, AppendMatchesFreshBuild) {
   }
 
   ScheduleArena grown(base_schedule);
-  grown.validate();  // seeds the id table, as the engine does at ingest
   grown.append(events_for(full, 300));
 
   const ScheduleArena fresh(full);
   EXPECT_EQ(grown.task_count(), fresh.task_count());
   EXPECT_EQ(grown.content_hash(), fresh.content_hash());
   EXPECT_EQ(grown.tasks_hash(), fresh.tasks_hash());
+  ASSERT_TRUE(grown.time_range().has_value());
+  EXPECT_EQ(grown.time_range()->begin, fresh.time_range()->begin);
+  EXPECT_EQ(grown.time_range()->end, fresh.time_range()->end);
   EXPECT_EQ(io::write_schedule_xml(grown.to_schedule()),
             io::write_schedule_xml(full));
-
-  for (const auto& cluster : full.clusters()) {
-    const auto* gp = grown.cluster_tasks(cluster.id);
-    const auto* fp = fresh.cluster_tasks(cluster.id);
-    ASSERT_EQ(gp != nullptr, fp != nullptr);
-    if (gp) {
-      EXPECT_EQ(*gp, *fp) << cluster.id;
-    }
-
-    const auto gr = grown.cluster_time_range(cluster.id);
-    const auto fr = fresh.cluster_time_range(cluster.id);
-    ASSERT_EQ(gr.has_value(), fr.has_value());
-    if (gr) {
-      EXPECT_EQ(gr->begin, fr->begin);
-      EXPECT_EQ(gr->end, fr->end);
-    }
-
-    // Incrementally maintained density == freshly built density.
-    const auto* gd = grown.density(cluster.id);
-    const auto* fd = fresh.density(cluster.id);
-    ASSERT_EQ(gd != nullptr, fd != nullptr);
-    if (gd) {
-      EXPECT_EQ(gd->origin, fd->origin);
-      EXPECT_EQ(gd->bin_width, fd->bin_width);
-      EXPECT_EQ(gd->bins, fd->bins);
-    }
-  }
 }
 
 TEST(ScheduleArena, AppendRejectsBadEventsLeavingArenaUntouched) {
   ScheduleArena arena(sample_schedule());
-  arena.validate();
   const std::uint64_t hash = arena.content_hash();
   const std::size_t count = arena.task_count();
-  const std::uint64_t version = arena.version();
 
   auto event = [](std::string id, double s, double e, int cluster, int h0,
                   int nb) {
@@ -362,8 +280,19 @@ TEST(ScheduleArena, AppendRejectsBadEventsLeavingArenaUntouched) {
     return ev;
   };
 
-  // Duplicate id (against the existing rows, via the persistent table).
-  EXPECT_THROW(arena.append({event("a", 10, 11, 0, 0, 1)}), ValidationError);
+  auto append_error = [&arena](const std::vector<ScheduleArena::Event>& e) {
+    try {
+      arena.append(e);
+    } catch (const ValidationError& error) {
+      return std::string(error.what());
+    }
+    return std::string();
+  };
+
+  // Duplicate id against the existing rows, on the call that seeds the
+  // persistent id table (validate_columns() leaves ids to append()).
+  EXPECT_EQ(append_error({event("a", 10, 11, 0, 0, 1)}),
+            "duplicate task id 'a'");
   // Host range out of bounds.
   EXPECT_THROW(arena.append({event("z1", 10, 11, 0, 7, 3)}), ValidationError);
   // Unknown cluster.
@@ -371,18 +300,21 @@ TEST(ScheduleArena, AppendRejectsBadEventsLeavingArenaUntouched) {
   // end < start.
   EXPECT_THROW(arena.append({event("z3", 11, 10, 0, 0, 1)}), ValidationError);
   // Duplicate id *within* the batch.
-  EXPECT_THROW(
-      arena.append({event("z4", 1, 2, 0, 0, 1), event("z4", 3, 4, 0, 2, 1)}),
-      ValidationError);
+  EXPECT_EQ(append_error({event("z4", 1, 2, 0, 0, 1),
+                          event("z4", 3, 4, 0, 2, 1)}),
+            "duplicate task id 'z4'");
 
   EXPECT_EQ(arena.content_hash(), hash);
   EXPECT_EQ(arena.task_count(), count);
-  EXPECT_EQ(arena.version(), version);
 
-  // And a good append still works afterwards.
-  arena.append({event("z5", 10, 11, 0, 0, 2)});
+  // And a good append still works afterwards; the rejected batch left no
+  // id behind, and an appended id is taken from then on.
+  arena.append({event("z4", 10, 11, 0, 0, 2)});
   EXPECT_EQ(arena.task_count(), count + 1);
-  EXPECT_EQ(arena.version(), version + 1);
+  EXPECT_NE(arena.content_hash(), hash);
+  EXPECT_EQ(append_error({event("z4", 12, 13, 0, 0, 1)}),
+            "duplicate task id 'z4'");
+  EXPECT_EQ(arena.task_count(), count + 1);
 }
 
 TEST(TaskIndexArena, ExtensionMatchesFreshIndex) {
@@ -396,7 +328,6 @@ TEST(TaskIndexArena, ExtensionMatchesFreshIndex) {
   }
 
   ScheduleArena arena(base_schedule);
-  arena.validate();
   arena.append(events_for(full, 250));
 
   const TaskIndex base(base_schedule);
@@ -423,12 +354,6 @@ TEST(TaskIndexArena, ExtensionMatchesFreshIndex) {
       EXPECT_EQ(fe[c].entries[i].host_end, ff[c].entries[i].host_end);
     }
     EXPECT_EQ(fe[c].max_end, ff[c].max_end);
-  }
-
-  // Cluster partitions agree too.
-  for (const auto& cluster : full.clusters()) {
-    EXPECT_EQ(extended.cluster_tasks(cluster.id),
-              fresh.cluster_tasks(cluster.id));
   }
 }
 

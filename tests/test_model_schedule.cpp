@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "jedule/model/builder.hpp"
+#include "jedule/model/task_index.hpp"
 #include "jedule/util/error.hpp"
 
 namespace jedule::model {
@@ -122,9 +124,15 @@ TEST(Schedule, ViewModesDifferPerCluster) {
 }
 
 TEST(Schedule, TasksInClusterIncludesSpanningTasks) {
+  // A cluster's tasks come from the TaskIndex: a task with configurations
+  // in two clusters belongs to both.
   const Schedule s = two_cluster_schedule();
-  EXPECT_EQ(s.tasks_in_cluster(0).size(), 2u);  // a and x
-  EXPECT_EQ(s.tasks_in_cluster(1).size(), 2u);  // b and x
+  const TaskIndex index(s);
+  std::vector<std::uint32_t> c0, c1;
+  index.collect_tasks(0, 0.0, 3.0, &c0);
+  index.collect_tasks(1, 0.0, 3.0, &c1);
+  EXPECT_EQ(c0, (std::vector<std::uint32_t>{0, 2}));  // a and x
+  EXPECT_EQ(c1, (std::vector<std::uint32_t>{1, 2}));  // b and x
 }
 
 // -- validation branch coverage ----------------------------------------

@@ -133,30 +133,6 @@ TEST(TaskIndex, CountUptoStopsEarlyButIsExactBelowLimit) {
   EXPECT_EQ(index.count_upto(0, 1e9, 2e9, 5), 0u);
 }
 
-TEST(TaskIndex, TopmostAtPicksHighestTaskIndex) {
-  // Two overlapping tasks on the same host: the later-added one paints on
-  // top, so the point query must return it.
-  const Schedule s = ScheduleBuilder()
-                         .cluster(0, "c", 4)
-                         .task("under", "t", 0.0, 10.0)
-                         .on(0, 0, 4)
-                         .task("over", "t", 2.0, 6.0)
-                         .on(0, 1, 2)
-                         .build();
-  const TaskIndex index(s);
-  const auto* top = index.topmost_at(0, 4.0, 1);
-  ASSERT_NE(top, nullptr);
-  EXPECT_EQ(top->task, 1u);
-  const auto* under = index.topmost_at(0, 4.0, 0);
-  ASSERT_NE(under, nullptr);
-  EXPECT_EQ(under->task, 0u);
-  EXPECT_EQ(index.topmost_at(0, 11.0, 0), nullptr);
-  // Host 3 is covered only by "under" (hosts 0-3).
-  const auto* host3 = index.topmost_at(0, 4.0, 3);
-  ASSERT_NE(host3, nullptr);
-  EXPECT_EQ(host3->task, 0u);
-}
-
 TEST(TaskIndex, TimeRangeAndCounts) {
   const Schedule s = random_schedule(100, 9);
   const TaskIndex index(s);
@@ -193,7 +169,6 @@ TEST(TaskIndex, EmptyScheduleIsWellFormed) {
   EXPECT_EQ(index.task_count(), 0u);
   EXPECT_FALSE(index.time_range().has_value());
   EXPECT_EQ(index.count_upto(0, 0, 1, 10), 0u);
-  EXPECT_EQ(index.topmost_at(0, 0, 0), nullptr);
   std::vector<std::uint32_t> tasks;
   index.collect_tasks(0, 0, 1, &tasks);
   EXPECT_TRUE(tasks.empty());
